@@ -39,7 +39,7 @@ import sys
 import time
 from typing import Sequence
 
-from repro.api.config import DiscoveryConfig
+from repro.api.config import SECTION_KEYS, DiscoveryConfig
 from repro.api.facade import Discovery, build_benchmark
 from repro.api.registry import (
     SEARCHERS,
@@ -71,58 +71,62 @@ def _add_benchmark_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=3)
 
 
-def _add_cascade_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cascade-mode",
-        choices=("exact", "approx"),
-        default=None,
-        help="enable the tiered query cascade in this mode (exact mode is "
-        "bit-identical to the bare backend; approx prunes to a candidate "
-        "budget before exact scoring)",
-    )
-    parser.add_argument(
-        "--cascade-budget",
-        type=int,
-        default=None,
-        help="cascade candidate budget: how many prefilter candidates survive "
-        "to exact scoring (default: config value or 32)",
-    )
-    parser.add_argument(
-        "--cascade-margin",
-        type=float,
-        default=None,
-        help="cascade escalation margin: approximate-score gaps below this "
-        "escalate the query to the full exact path (default: 0, never)",
-    )
+#: Every config-override flag: (flag, section, key, help).  Its type and
+#: choices come from the config key table, and :func:`_load_config` folds it
+#: into the :class:`DiscoveryConfig`, so a flag is validated exactly like the
+#: same key in a ``--config`` file.  ``server`` rows belong to ``serve``; the
+#: rest form the parent that ``search``/``warm``/``serve`` share.
+_OVERRIDE_FLAGS = (
+    ("--cascade-mode", "cascade", "mode",
+     "enable the tiered query cascade in this mode (exact mode is "
+     "bit-identical to the bare backend; approx prunes to a candidate "
+     "budget before exact scoring)"),
+    ("--cascade-budget", "cascade", "candidate_budget",
+     "cascade candidate budget: how many prefilter candidates survive to "
+     "exact scoring"),
+    ("--cascade-margin", "cascade", "escalation_margin",
+     "cascade escalation margin: approximate-score gaps below this escalate "
+     "the query to the full exact path (0 = never)"),
+    ("--shards", "sharding", "num_shards",
+     "partition the lake into N shards, build the shard indexes in parallel "
+     "and serve by fan-out/merge"),
+    ("--workers", "sharding", "build_workers",
+     "worker processes for parallel shard builds (null = auto)"),
+    ("--store-backend", "store", "backend",
+     "how the index store persists entries: a registered store backend "
+     "(directory tree, or one WAL-mode SQLite file with sqlite)"),
+    ("--host", "server", "host", "bind address"),
+    ("--port", "server", "port", "bind port, 0 for ephemeral"),
+    ("--event-log", "server", "event_log",
+     "append one JSON event per served/rejected query to this JSONL file"),
+    ("--max-inflight", "server", "max_inflight",
+     "admission-control bound on concurrent searches"),
+    ("--no-maintenance", "server", "maintenance",
+     "disable the background maintenance thread (re-sync/pre-warm/evict "
+     "still available on demand via POST /v1/refresh)"),
+)
 
 
-def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="override sharding.num_shards: partition the lake into N shards, "
-        "build the shard indexes in parallel and serve by fan-out/merge "
-        "(default: config value or 1)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override sharding.build_workers: worker processes for parallel "
-        "shard builds (default: config value or auto)",
-    )
-
-
-def _add_store_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store-backend",
-        choices=("directory", "sqlite"),
-        default=None,
-        help="override store.backend: how the index store persists entries "
-        "(directory tree or one WAL-mode SQLite file; default: config "
-        "value or directory)",
-    )
+def _add_override_flags(parser: argparse.ArgumentParser, *, server: bool) -> None:
+    """Add the ``server`` rows of :data:`_OVERRIDE_FLAGS`, or all the others."""
+    for flag, section, key, text in _OVERRIDE_FLAGS:
+        if (section == "server") != server:
+            continue
+        spec = SECTION_KEYS[section][key]
+        options = {
+            "dest": f"{section}.{key}",
+            "default": None,
+            "help": f"{text} (sets {section}.{key}; default: "
+            f"{json.dumps(spec.default)})",
+        }
+        if spec.kind is bool:
+            # A bool flag sets the key to False when named --no-*.
+            options.update(action="store_const", const=not flag.startswith("--no-"))
+        else:
+            options.update(type=spec.kind, choices=spec.choices)
+            if spec.choices is None:
+                options["metavar"] = key.upper()
+        parser.add_argument(flag, **options)
 
 
 def config_override_parent() -> argparse.ArgumentParser:
@@ -136,37 +140,8 @@ def config_override_parent() -> argparse.ArgumentParser:
     """
     parent = argparse.ArgumentParser(add_help=False)
     _add_config_option(parent)
-    _add_cascade_options(parent)
-    _add_sharding_options(parent)
-    _add_store_options(parent)
+    _add_override_flags(parent, server=False)
     return parent
-
-
-def _cascade_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if getattr(args, "cascade_mode", None) is not None:
-        overrides["mode"] = args.cascade_mode
-    if getattr(args, "cascade_budget", None) is not None:
-        overrides["candidate_budget"] = args.cascade_budget
-    if getattr(args, "cascade_margin", None) is not None:
-        overrides["escalation_margin"] = args.cascade_margin
-    return overrides
-
-
-def _sharding_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if getattr(args, "shards", None) is not None:
-        overrides["num_shards"] = args.shards
-    if getattr(args, "workers", None) is not None:
-        overrides["build_workers"] = args.workers
-    return overrides
-
-
-def _store_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if getattr(args, "store_backend", None) is not None:
-        overrides["backend"] = args.store_backend
-    return overrides
 
 
 def _load_config(args: argparse.Namespace) -> DiscoveryConfig:
@@ -174,19 +149,17 @@ def _load_config(args: argparse.Namespace) -> DiscoveryConfig:
         config = DiscoveryConfig.from_file(args.config)
     else:
         config = DiscoveryConfig()
-    cascade = _cascade_overrides(args)
-    sharding = _sharding_overrides(args)
-    store = _store_overrides(args)
-    if cascade or sharding or store:
-        payload = config.to_dict()
-        if cascade:
-            payload["cascade"] = {**(payload.get("cascade") or {}), **cascade}
-        if sharding:
-            payload["sharding"] = {**(payload.get("sharding") or {}), **sharding}
-        if store:
-            payload["store"] = {**(payload.get("store") or {}), **store}
-        config = DiscoveryConfig.from_dict(payload)
-    return config
+    overrides: dict[str, dict] = {}
+    for _, section, key, _ in _OVERRIDE_FLAGS:
+        value = getattr(args, f"{section}.{key}", None)
+        if value is not None:
+            overrides.setdefault(section, {})[key] = value
+    if not overrides:
+        return config
+    payload = config.to_dict()
+    for section, values in overrides.items():
+        payload[section] = config.section(section, **values)
+    return DiscoveryConfig.from_dict(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,34 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(versioned HTTP/JSON API with background maintenance)",
     )
     _add_benchmark_options(serve)
-    serve.add_argument(
-        "--host", default=None, help="bind address (default: config or 127.0.0.1)"
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="bind port, 0 for ephemeral (default: config or 8765)",
-    )
-    serve.add_argument(
-        "--event-log",
-        metavar="JSONL_FILE",
-        default=None,
-        help="append one JSON event per served/rejected query to this file",
-    )
-    serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        help="admission-control bound on concurrent searches "
-        "(default: config or 4)",
-    )
-    serve.add_argument(
-        "--no-maintenance",
-        action="store_true",
-        help="disable the background maintenance thread (re-sync/pre-warm/"
-        "evict still available on demand via POST /v1/refresh)",
-    )
+    _add_override_flags(serve, server=True)
 
     scenarios = subparsers.add_parser(
         "scenarios",
@@ -390,14 +336,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
     config = _load_config(args)
     catalog = registry_catalog()
-    serving = config.serving or {}
+    store_dir = config.section("serving")["store_dir"]
     store_stats = None
-    if serving.get("store_dir"):
+    if store_dir:
         from repro.serving.store import IndexStore
 
-        store_stats = IndexStore.from_config(
-            serving["store_dir"], config.store
-        ).stats()
+        store_stats = IndexStore(store_dir, **config.section("store")).stats()
     payload = {
         "version": __version__,
         **catalog,
@@ -589,13 +533,12 @@ def _cmd_warm(args: argparse.Namespace) -> int:
     # The shared override parent folds --shards/--workers/--cascade-* into
     # the config, so warm honours a --config file exactly like search/serve.
     config = _load_config(args)
-    sharding = config.sharding or {}
-    num_shards = sharding.get("num_shards", 1)
-    workers = sharding.get("build_workers")
-    cascade = dict(config.cascade) if config.cascade is not None else {}
+    sharding = config.section("sharding")
+    num_shards, workers = sharding["num_shards"], sharding["build_workers"]
+    cascade = config.cascade or {}
     benchmark = build_benchmark(args.benchmark, num_queries=args.num_queries, seed=args.seed)
     lake = benchmark.lake
-    store = IndexStore.from_config(args.store, config.store)
+    store = IndexStore(args.store, **config.section("store"))
     sharded = num_shards > 1
     print(
         f"warming {len(args.backends)} backend(s) over {args.benchmark!r} "
@@ -651,14 +594,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     benchmark = build_benchmark(args.benchmark, num_queries=args.num_queries, seed=args.seed)
     server = DiscoveryServer.from_config(
-        config,
-        benchmark.lake,
-        queries=benchmark.query_tables,
-        host=args.host,
-        port=args.port,
-        event_log=args.event_log,
-        max_inflight=args.max_inflight,
-        maintenance=False if args.no_maintenance else None,
+        config, benchmark.lake, queries=benchmark.query_tables
     )
     return run_server(server)
 

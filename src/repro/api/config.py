@@ -16,7 +16,7 @@ its registry name plus parameters::
 
 The tree round-trips through ``from_dict``/``to_dict`` and JSON, is validated
 eagerly (unknown sections, unknown component or parameter names and invalid
-pipeline/dust/serving values all raise
+section values all raise
 :class:`~repro.utils.errors.ConfigurationError` at construction time;
 component parameter *values* are checked by the constructors at build time),
 and has a stable content :meth:`fingerprint`.  Because the
@@ -31,14 +31,16 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from repro.api.registry import (
     COLUMN_ENCODERS,
     DIVERSIFIERS,
     SEARCHERS,
+    STORE_BACKENDS,
     TUPLE_ENCODERS,
     Registry,
 )
@@ -55,58 +57,167 @@ _COMPONENT_SECTIONS: dict[str, Registry] = {
 
 _PIPELINE_FIELDS = ("num_search_tables", "k", "min_query_rows")
 _DUST_FIELDS = tuple(f.name for f in fields(DustConfig))
-_SERVING_DEFAULTS: dict[str, Any] = {
-    "store_dir": None,
-    "cache_size": 1024,
-    "max_workers": None,
-    "chunk_size": 8,
-    "parallelism": "auto",
-    "parallel_min_seconds": 1.0,
+
+
+class ConfigKey(NamedTuple):
+    """One key of an operational config section.
+
+    Values are never coerced: ``kind`` is checked strictly (an ``int`` key
+    rejects ``bool`` and ``float``; a ``float`` key accepts ``int`` but
+    rejects ``bool`` and NaN; a ``str`` key rejects the empty string), then
+    ``choices`` and the inclusive ``ge``/``le`` or exclusive ``gt`` bounds.
+    """
+
+    default: Any
+    kind: type
+    nullable: bool = False
+    ge: float | None = None
+    gt: float | None = None
+    le: float | None = None
+    choices: tuple[str, ...] | None = None
+
+
+#: Operational section -> key -> :class:`ConfigKey`.  The one source of every
+#: section's keys, defaults and constraints: validation, serialization,
+#: :meth:`DiscoveryConfig.section` and the CLI override flags all read it.
+SECTION_KEYS: dict[str, dict[str, ConfigKey]] = {
+    "serving": {
+        "store_dir": ConfigKey(None, str, nullable=True),
+        "cache_size": ConfigKey(1024, int, ge=0),
+        "max_workers": ConfigKey(None, int, nullable=True, ge=1),
+        "chunk_size": ConfigKey(8, int, ge=1),
+        "parallelism": ConfigKey(
+            "auto", str, choices=("auto", "process", "thread", "serial")
+        ),
+        "parallel_min_seconds": ConfigKey(1.0, float, ge=0),
+    },
+    "sharding": {
+        "num_shards": ConfigKey(1, int, ge=1),
+        "strategy": ConfigKey("hash", str, choices=("hash", "size")),
+        "build_workers": ConfigKey(None, int, nullable=True, ge=1),
+        "build_parallelism": ConfigKey(
+            "auto", str, choices=("auto", "process", "serial")
+        ),
+        "parallel_min_seconds": ConfigKey(0.5, float, ge=0),
+    },
+    "cascade": {
+        "mode": ConfigKey("approx", str, choices=("exact", "approx")),
+        "prefilter": ConfigKey("auto", str, choices=("auto", "lsh", "projection")),
+        "candidate_budget": ConfigKey(32, int, ge=1),
+        "escalation_margin": ConfigKey(0.0, float, ge=0),
+        "projection_dim": ConfigKey(16, int, ge=1),
+        "num_hashes": ConfigKey(64, int, ge=1),
+        "num_bands": ConfigKey(16, int, ge=1),
+        "seed": ConfigKey(7, int, ge=0),
+    },
+    "server": {
+        "host": ConfigKey("127.0.0.1", str),
+        "port": ConfigKey(8765, int, ge=0, le=65535),
+        "max_inflight": ConfigKey(4, int, ge=1),
+        "queue_timeout_seconds": ConfigKey(1.0, float, ge=0),
+        "retry_after_seconds": ConfigKey(1.0, float, ge=0),
+        "event_log": ConfigKey(None, str, nullable=True),
+        "maintenance": ConfigKey(True, bool),
+        "maintenance_interval_seconds": ConfigKey(1.0, float, ge=0),
+        "maintenance_idle_seconds": ConfigKey(0.5, float, ge=0),
+        "prewarm_queries": ConfigKey(8, int, ge=0),
+    },
+    "ingest": {
+        "max_batch_events": ConfigKey(256, int, ge=1),
+        "max_batch_bytes": ConfigKey(1_048_576, int, ge=1),
+        "max_latency_seconds": ConfigKey(0.5, float, gt=0),
+        "checkpoint": ConfigKey(True, bool),
+        "rebalance_skew_threshold": ConfigKey(2.0, float, ge=1.0),
+        "exclusive_timeout_seconds": ConfigKey(5.0, float, ge=0),
+    },
+    "store": {
+        # Choices come from the STORE_BACKENDS registry (see _validated).
+        "backend": ConfigKey("directory", str),
+        "path": ConfigKey(None, str, nullable=True),
+        "pool_size": ConfigKey(4, int, ge=1),
+        "mmap": ConfigKey(True, bool),
+        "lazy_shards": ConfigKey(True, bool),
+    },
 }
-_SHARDING_DEFAULTS: dict[str, Any] = {
-    "num_shards": 1,
-    "strategy": "hash",
-    "build_workers": None,
-    "build_parallelism": "auto",
-    "parallel_min_seconds": 0.5,
-}
-_CASCADE_DEFAULTS: dict[str, Any] = {
-    "mode": "approx",
-    "prefilter": "auto",
-    "candidate_budget": 32,
-    "escalation_margin": 0.0,
-    "projection_dim": 16,
-    "num_hashes": 64,
-    "num_bands": 16,
-    "seed": 7,
-}
-_INGEST_DEFAULTS: dict[str, Any] = {
-    "max_batch_events": 256,
-    "max_batch_bytes": 1_048_576,
-    "max_latency_seconds": 0.5,
-    "checkpoint": True,
-    "rebalance_skew_threshold": 2.0,
-    "exclusive_timeout_seconds": 5.0,
-}
-_SERVER_DEFAULTS: dict[str, Any] = {
-    "host": "127.0.0.1",
-    "port": 8765,
-    "max_inflight": 4,
-    "queue_timeout_seconds": 1.0,
-    "retry_after_seconds": 1.0,
-    "event_log": None,
-    "maintenance": True,
-    "maintenance_interval_seconds": 1.0,
-    "maintenance_idle_seconds": 0.5,
-    "prewarm_queries": 8,
-}
-_STORE_DEFAULTS: dict[str, Any] = {
-    "backend": "directory",
-    "path": None,
-    "pool_size": 4,
-    "mmap": True,
-    "lazy_shards": True,
-}
+
+#: Sections left out of :meth:`DiscoveryConfig.fingerprint`: they change how
+#: a deployment listens, batches writes or stores entries, never what its
+#: indexes contain.
+FINGERPRINT_NEUTRAL = frozenset({"server", "ingest", "store"})
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a non-empty string", bool: "a boolean"}
+
+
+def _describe(spec: ConfigKey) -> str:
+    """What a valid value of ``spec`` is, for error messages."""
+    if spec.choices is not None:
+        text = "one of " + "/".join(spec.choices)
+    else:
+        text = _KIND_NAMES[spec.kind]
+        if spec.le is not None:
+            text += f" in [{spec.ge}, {spec.le}]"
+        elif spec.ge is not None:
+            text += f" >= {spec.ge}"
+        elif spec.gt is not None:
+            text += f" > {spec.gt}"
+    return text + (" or null" if spec.nullable else "")
+
+
+def _valid(spec: ConfigKey, value: Any) -> bool:
+    if value is None:
+        return spec.nullable
+    kinds = (int, float) if spec.kind is float else spec.kind
+    if not isinstance(value, kinds) or (isinstance(value, bool) and spec.kind is not bool):
+        return False
+    if (isinstance(value, float) and math.isnan(value)) or (spec.kind is str and not value):
+        return False
+    return (
+        (spec.choices is None or value in spec.choices)
+        and (spec.ge is None or value >= spec.ge)
+        and (spec.gt is None or value > spec.gt)
+        and (spec.le is None or value <= spec.le)
+    )
+
+
+def _checked_section(
+    section: str, payload: Mapping[str, Any], allowed: tuple[str, ...]
+) -> dict[str, Any]:
+    if not isinstance(payload, Mapping):
+        raise ConfigurationError(
+            f"config section {section!r} must be a mapping, got {payload!r}"
+        )
+    unknown = set(payload) - set(allowed)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown keys in config section {section!r}: {sorted(unknown)}; "
+            f"allowed: {sorted(allowed)}"
+        )
+    return dict(payload)
+
+
+def _validated(section: str, payload: Any) -> dict[str, Any]:
+    """``payload`` over the section defaults, every value checked; no coercion."""
+    keys = SECTION_KEYS[section]
+    values = {
+        **{key: spec.default for key, spec in keys.items()},
+        **_checked_section(section, payload, tuple(keys)),
+    }
+    for key, spec in keys.items():
+        if not _valid(spec, values[key]):
+            raise ConfigurationError(
+                f"{section}.{key} must be {_describe(spec)}, got {values[key]!r}"
+            )
+    if section == "cascade" and values["num_hashes"] % values["num_bands"]:
+        raise ConfigurationError(
+            f"cascade.num_hashes ({values['num_hashes']}) must be a multiple of "
+            f"cascade.num_bands ({values['num_bands']})"
+        )
+    if section == "store" and values["backend"] not in STORE_BACKENDS:
+        raise ConfigurationError(
+            f"store.backend must be one of {STORE_BACKENDS.names()}, "
+            f"got {values['backend']!r}"
+        )
+    return values
 
 
 @dataclass(frozen=True)
@@ -177,214 +288,15 @@ def _validate_component_params(section: str, registry: Registry, spec: Component
         )
 
 
-def _validate_serving(serving: Mapping[str, Any]) -> None:
-    """Eagerly apply the QueryService/IndexStore value constraints."""
-    if serving["cache_size"] < 0:
-        raise ConfigurationError(
-            f"serving.cache_size must be non-negative, got {serving['cache_size']}"
-        )
-    if serving["chunk_size"] <= 0:
-        raise ConfigurationError(
-            f"serving.chunk_size must be positive, got {serving['chunk_size']}"
-        )
-    if serving["max_workers"] is not None and serving["max_workers"] <= 0:
-        raise ConfigurationError(
-            f"serving.max_workers must be positive, got {serving['max_workers']}"
-        )
-    if serving["parallel_min_seconds"] < 0:
-        raise ConfigurationError(
-            "serving.parallel_min_seconds must be non-negative, "
-            f"got {serving['parallel_min_seconds']}"
-        )
-    if serving["parallelism"] not in ("auto", "process", "thread", "serial"):
-        raise ConfigurationError(
-            "serving.parallelism must be auto/process/thread/serial, "
-            f"got {serving['parallelism']!r}"
-        )
-
-
-def _validate_sharding(sharding: Mapping[str, Any]) -> None:
-    """Eagerly apply the LakePartitioner/sharded-build value constraints."""
-    num_shards = sharding["num_shards"]
-    if not isinstance(num_shards, int) or num_shards < 1:
-        raise ConfigurationError(
-            f"sharding.num_shards must be a positive integer, got {num_shards!r}"
-        )
-    if sharding["strategy"] not in ("hash", "size"):
-        raise ConfigurationError(
-            f"sharding.strategy must be hash/size, got {sharding['strategy']!r}"
-        )
-    if sharding["build_workers"] is not None and sharding["build_workers"] <= 0:
-        raise ConfigurationError(
-            f"sharding.build_workers must be positive, got {sharding['build_workers']}"
-        )
-    if sharding["build_parallelism"] not in ("auto", "process", "serial"):
-        raise ConfigurationError(
-            "sharding.build_parallelism must be auto/process/serial, "
-            f"got {sharding['build_parallelism']!r}"
-        )
-    if sharding["parallel_min_seconds"] < 0:
-        raise ConfigurationError(
-            "sharding.parallel_min_seconds must be non-negative, "
-            f"got {sharding['parallel_min_seconds']}"
-        )
-
-
-def _validate_cascade(cascade: Mapping[str, Any]) -> None:
-    """Eagerly apply the CascadeSearcher/prefilter value constraints."""
-    if cascade["mode"] not in ("exact", "approx"):
-        raise ConfigurationError(
-            f"cascade.mode must be exact/approx, got {cascade['mode']!r}"
-        )
-    if cascade["prefilter"] not in ("auto", "lsh", "projection"):
-        raise ConfigurationError(
-            "cascade.prefilter must be auto/lsh/projection, "
-            f"got {cascade['prefilter']!r}"
-        )
-    budget = cascade["candidate_budget"]
-    if not isinstance(budget, int) or budget < 1:
-        raise ConfigurationError(
-            f"cascade.candidate_budget must be a positive integer, got {budget!r}"
-        )
-    if cascade["escalation_margin"] < 0:
-        raise ConfigurationError(
-            "cascade.escalation_margin must be non-negative, "
-            f"got {cascade['escalation_margin']}"
-        )
-    if cascade["projection_dim"] < 1:
-        raise ConfigurationError(
-            f"cascade.projection_dim must be positive, got {cascade['projection_dim']}"
-        )
-    num_hashes, num_bands = cascade["num_hashes"], cascade["num_bands"]
-    if num_hashes < 1 or num_bands < 1 or num_hashes % num_bands != 0:
-        raise ConfigurationError(
-            f"cascade.num_hashes ({num_hashes}) must be a positive multiple of "
-            f"cascade.num_bands ({num_bands})"
-        )
-
-
-def _validate_server(server: Mapping[str, Any]) -> None:
-    """Eagerly apply the DiscoveryServer value constraints."""
-    port = server["port"]
-    if not isinstance(port, int) or not 0 <= port <= 65535:
-        raise ConfigurationError(
-            f"server.port must be an integer in [0, 65535] (0 = ephemeral), "
-            f"got {port!r}"
-        )
-    if not isinstance(server["host"], str) or not server["host"]:
-        raise ConfigurationError(
-            f"server.host must be a non-empty string, got {server['host']!r}"
-        )
-    max_inflight = server["max_inflight"]
-    if not isinstance(max_inflight, int) or max_inflight < 1:
-        raise ConfigurationError(
-            f"server.max_inflight must be a positive integer, got {max_inflight!r}"
-        )
-    for key in (
-        "queue_timeout_seconds",
-        "retry_after_seconds",
-        "maintenance_interval_seconds",
-        "maintenance_idle_seconds",
-    ):
-        if server[key] < 0:
-            raise ConfigurationError(
-                f"server.{key} must be non-negative, got {server[key]}"
-            )
-    if server["event_log"] is not None and not isinstance(server["event_log"], str):
-        raise ConfigurationError(
-            f"server.event_log must be a path string or null, got {server['event_log']!r}"
-        )
-    if not isinstance(server["maintenance"], bool):
-        raise ConfigurationError(
-            f"server.maintenance must be a boolean, got {server['maintenance']!r}"
-        )
-    prewarm = server["prewarm_queries"]
-    if not isinstance(prewarm, int) or prewarm < 0:
-        raise ConfigurationError(
-            f"server.prewarm_queries must be a non-negative integer, got {prewarm!r}"
-        )
-
-
-def _validate_ingest(ingest: Mapping[str, Any]) -> None:
-    """Eagerly apply the IngestController/MicroBatcher value constraints."""
-    for key in ("max_batch_events", "max_batch_bytes"):
-        value = ingest[key]
-        if not isinstance(value, int) or value < 1:
-            raise ConfigurationError(
-                f"ingest.{key} must be a positive integer, got {value!r}"
-            )
-    if ingest["max_latency_seconds"] <= 0:
-        raise ConfigurationError(
-            "ingest.max_latency_seconds must be positive, "
-            f"got {ingest['max_latency_seconds']}"
-        )
-    if not isinstance(ingest["checkpoint"], bool):
-        raise ConfigurationError(
-            f"ingest.checkpoint must be a boolean, got {ingest['checkpoint']!r}"
-        )
-    if ingest["rebalance_skew_threshold"] < 1.0:
-        raise ConfigurationError(
-            "ingest.rebalance_skew_threshold must be >= 1.0, "
-            f"got {ingest['rebalance_skew_threshold']}"
-        )
-    if ingest["exclusive_timeout_seconds"] < 0:
-        raise ConfigurationError(
-            "ingest.exclusive_timeout_seconds must be non-negative, "
-            f"got {ingest['exclusive_timeout_seconds']}"
-        )
-
-
-def _validate_store(store: Mapping[str, Any]) -> None:
-    """Eagerly apply the IndexStore backend constraints."""
-    from repro.api.registry import STORE_BACKENDS
-
-    backend = store["backend"]
-    if not isinstance(backend, str) or backend not in STORE_BACKENDS:
-        raise ConfigurationError(
-            f"store.backend must be one of {STORE_BACKENDS.names()}, "
-            f"got {backend!r}"
-        )
-    if store["path"] is not None and not isinstance(store["path"], str):
-        raise ConfigurationError(
-            f"store.path must be a path string or null, got {store['path']!r}"
-        )
-    pool_size = store["pool_size"]
-    if not isinstance(pool_size, int) or pool_size < 1:
-        raise ConfigurationError(
-            f"store.pool_size must be a positive integer, got {pool_size!r}"
-        )
-    for key in ("mmap", "lazy_shards"):
-        if not isinstance(store[key], bool):
-            raise ConfigurationError(
-                f"store.{key} must be a boolean, got {store[key]!r}"
-            )
-
-
-def _checked_section(
-    section: str, payload: Mapping[str, Any], allowed: tuple[str, ...]
-) -> dict[str, Any]:
-    if not isinstance(payload, Mapping):
-        raise ConfigurationError(
-            f"config section {section!r} must be a mapping, got {payload!r}"
-        )
-    unknown = set(payload) - set(allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown keys in config section {section!r}: {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
-    return dict(payload)
-
-
 @dataclass
 class DiscoveryConfig:
     """The declarative, serializable configuration of a discovery deployment.
 
-    All sections are optional and normalised at construction: ``pipeline``,
-    ``dust`` and ``serving`` overrides are expanded to their fully-resolved
-    values (so :meth:`to_dict` is canonical and :meth:`fingerprint` is a
-    content address), and every component name is resolved against its
-    registry up front.
+    All sections are optional and normalised at construction: ``pipeline``
+    and ``dust`` and every present operational section (:data:`SECTION_KEYS`)
+    are expanded to their fully-resolved values (so :meth:`to_dict` is
+    canonical and :meth:`fingerprint` is a content address), and every
+    component name is resolved against its registry up front.
     """
 
     searcher: ComponentSpec = field(default_factory=lambda: ComponentSpec("overlap"))
@@ -448,41 +360,9 @@ class DiscoveryConfig:
         self.pipeline = {name: getattr(resolved, name) for name in _PIPELINE_FIELDS}
         self.dust = {name: getattr(resolved.dust, name) for name in _DUST_FIELDS}
 
-        if self.serving is not None:
-            serving = _checked_section(
-                "serving", self.serving, tuple(_SERVING_DEFAULTS)
-            )
-            self.serving = {**_SERVING_DEFAULTS, **serving}
-            _validate_serving(self.serving)
-
-        if self.sharding is not None:
-            sharding = _checked_section(
-                "sharding", self.sharding, tuple(_SHARDING_DEFAULTS)
-            )
-            self.sharding = {**_SHARDING_DEFAULTS, **sharding}
-            _validate_sharding(self.sharding)
-
-        if self.cascade is not None:
-            cascade = _checked_section(
-                "cascade", self.cascade, tuple(_CASCADE_DEFAULTS)
-            )
-            self.cascade = {**_CASCADE_DEFAULTS, **cascade}
-            _validate_cascade(self.cascade)
-
-        if self.server is not None:
-            server = _checked_section("server", self.server, tuple(_SERVER_DEFAULTS))
-            self.server = {**_SERVER_DEFAULTS, **server}
-            _validate_server(self.server)
-
-        if self.ingest is not None:
-            ingest = _checked_section("ingest", self.ingest, tuple(_INGEST_DEFAULTS))
-            self.ingest = {**_INGEST_DEFAULTS, **ingest}
-            _validate_ingest(self.ingest)
-
-        if self.store is not None:
-            store = _checked_section("store", self.store, tuple(_STORE_DEFAULTS))
-            self.store = {**_STORE_DEFAULTS, **store}
-            _validate_store(self.store)
+        for section in SECTION_KEYS:
+            if getattr(self, section) is not None:
+                setattr(self, section, _validated(section, getattr(self, section)))
 
     # ----------------------------------------------------------------- presets
     @classmethod
@@ -525,19 +405,7 @@ class DiscoveryConfig:
                 f"unknown discovery config sections: {sorted(unknown)}; "
                 f"allowed: {sorted(known)}"
             )
-        kwargs: dict[str, Any] = {}
-        for section in _COMPONENT_SECTIONS:
-            if section in payload:
-                kwargs[section] = ComponentSpec.from_value(
-                    payload[section], section=section
-                )
-        for section in (
-            "pipeline", "dust", "serving", "sharding", "cascade", "server",
-            "ingest", "store",
-        ):
-            if section in payload:
-                kwargs[section] = payload[section]
-        return cls(**kwargs)
+        return cls(**payload)
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical, fully-resolved, JSON-serializable form (round-trips)."""
@@ -547,19 +415,24 @@ class DiscoveryConfig:
         }
         payload["pipeline"] = dict(self.pipeline)
         payload["dust"] = dict(self.dust)
-        if self.serving is not None:
-            payload["serving"] = dict(self.serving)
-        if self.sharding is not None:
-            payload["sharding"] = dict(self.sharding)
-        if self.cascade is not None:
-            payload["cascade"] = dict(self.cascade)
-        if self.server is not None:
-            payload["server"] = dict(self.server)
-        if self.ingest is not None:
-            payload["ingest"] = dict(self.ingest)
-        if self.store is not None:
-            payload["store"] = dict(self.store)
+        for section in SECTION_KEYS:
+            if getattr(self, section) is not None:
+                payload[section] = dict(getattr(self, section))
         return payload
+
+    def section(self, name: str, **overrides: Any) -> dict[str, Any]:
+        """Operational section ``name`` with its defaults filled in.
+
+        Works whether or not the section is present, and never marks it
+        present (a present ``serving`` section is what enables the
+        ``QueryService`` layer).  ``overrides`` are layered on top and
+        validated exactly like the same keys in a config file.
+        """
+        if name not in SECTION_KEYS:
+            raise ConfigurationError(
+                f"unknown config section {name!r}; allowed: {list(SECTION_KEYS)}"
+            )
+        return _validated(name, {**(getattr(self, name) or {}), **overrides})
 
     @classmethod
     def from_json(cls, text: str) -> "DiscoveryConfig":
@@ -590,19 +463,15 @@ class DiscoveryConfig:
 
         Two configs with the same fingerprint build component-for-component
         identical deployments — and therefore address the same entries of a
-        persistent index store.  The ``server`` section is excluded: a
-        deployment's listen address and admission limits are operational
-        knobs, not index content, so moving a server to another port must
-        not orphan its persisted indexes or cached results.  ``ingest`` is
-        excluded for the same reason: batching cadence changes when writes
-        land, never what equal content indexes to.  ``store`` is excluded
-        too: the physical backend holding an index entry never changes what
-        the entry contains, so migrating a deployment from the directory
-        layout to SQLite must not re-key its indexes.
+        persistent index store.  The :data:`FINGERPRINT_NEUTRAL` sections
+        (``server``, ``ingest``, ``store``) are excluded: moving a server to
+        another port, retuning write batching or migrating the store backend
+        must not orphan persisted indexes or cached results.
         """
-        content = self.to_dict()
-        content.pop("server", None)
-        content.pop("ingest", None)
-        content.pop("store", None)
+        content = {
+            section: values
+            for section, values in self.to_dict().items()
+            if section not in FINGERPRINT_NEUTRAL
+        }
         payload = json.dumps(content, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()

@@ -221,8 +221,8 @@ class Discovery:
         self._diversifier = self._build_diversifier(self.config.diversifier)
         serving = self.config.serving
         self._store = (
-            IndexStore.from_config(serving["store_dir"], self.config.store)
-            if serving is not None and serving.get("store_dir")
+            IndexStore(serving["store_dir"], **self.config.section("store"))
+            if serving is not None and serving["store_dir"]
             else None
         )
         self._lake: DataLake | None = None
@@ -423,12 +423,9 @@ class Discovery:
         if self._ingest is None:
             from repro.ingest.controller import IngestController
 
-            section = self.config.ingest
-            if section is None:
-                from repro.api.config import _INGEST_DEFAULTS
-
-                section = dict(_INGEST_DEFAULTS)
-            self._ingest = IngestController(self, gate=gate, **section)
+            self._ingest = IngestController(
+                self, gate=gate, **self.config.section("ingest")
+            )
         elif gate is not None:
             self._ingest.bind_gate(gate)
         return self._ingest
@@ -501,8 +498,8 @@ class Discovery:
         def factory() -> TableUnionSearcher:
             return SEARCHERS.create(backend, **params)
 
-        sharding = self.config.sharding
-        if sharding is not None and sharding["num_shards"] > 1:
+        sharding = self.config.section("sharding")
+        if sharding["num_shards"] > 1:
             # Transparently shard-aware: the composite builds shard indexes
             # in parallel, serves by fan-out/merge and (with a store)
             # persists per shard — rankings bit-identical to the flat
@@ -523,17 +520,7 @@ class Discovery:
             # Outermost wrapper: the cascade prefilters over the (possibly
             # sharded) backend and pushes its candidate budget down through
             # score_candidates; in "exact" mode it delegates wholesale.
-            searcher = CascadeSearcher(
-                searcher,
-                mode=cascade["mode"],
-                candidate_budget=cascade["candidate_budget"],
-                escalation_margin=cascade["escalation_margin"],
-                prefilter=cascade["prefilter"],
-                projection_dim=cascade["projection_dim"],
-                num_hashes=cascade["num_hashes"],
-                num_bands=cascade["num_bands"],
-                seed=cascade["seed"],
-            )
+            searcher = CascadeSearcher(searcher, **cascade)
         return searcher
 
     def _ensure_backend(self, backend: str) -> TableUnionSearcher:
@@ -713,11 +700,7 @@ class Discovery:
             "indexed_backends": sorted(self._searchers),
             "serving": self.config.serving is not None,
             "store": self._store.stats() if self._store is not None else None,
-            "num_shards": (
-                self.config.sharding["num_shards"]
-                if self.config.sharding is not None
-                else 1
-            ),
+            "num_shards": self.config.section("sharding")["num_shards"],
             "cascade": (
                 self.config.cascade["mode"]
                 if self.config.cascade is not None

@@ -166,7 +166,7 @@ class DiscoveryServer(ThreadingHTTPServer):
     """A resident :class:`~repro.api.facade.Discovery` deployment over HTTP.
 
     Parameters mirror the config's ``server`` section (see
-    :data:`repro.api.config._SERVER_DEFAULTS`); :meth:`from_config` maps the
+    :data:`repro.api.config.SECTION_KEYS`); :meth:`from_config` maps the
     section automatically.  ``port=0`` binds an ephemeral port — read the
     bound address back from :attr:`url`.
 
@@ -260,36 +260,25 @@ class DiscoveryServer(ThreadingHTTPServer):
     ) -> "DiscoveryServer":
         """Build, attach and wrap a deployment per the config's ``server`` section.
 
-        ``overrides`` (CLI flags: ``host``, ``port``, ``event_log``, ...)
-        take precedence over the section; ``None`` values are ignored so
-        unset flags fall through.  The server owns the facade it builds and
-        closes it on :meth:`stop`.
+        ``overrides`` (``host``, ``port``, ``event_log``, ...) take
+        precedence over the section and are validated like it.  The server
+        owns the facade it builds and closes it on :meth:`stop` (or right
+        away when construction fails).
         """
-        from repro.api.config import _SERVER_DEFAULTS
         from repro.api.facade import Discovery
 
-        discovery = Discovery.from_config(config).attach(lake)
-        section = dict(_SERVER_DEFAULTS)
-        if discovery.config.server is not None:
-            section.update(discovery.config.server)
-        section.update(
-            {key: value for key, value in overrides.items() if value is not None}
-        )
-        return cls(
-            discovery,
-            host=section["host"],
-            port=section["port"],
-            max_inflight=section["max_inflight"],
-            queue_timeout_seconds=section["queue_timeout_seconds"],
-            retry_after_seconds=section["retry_after_seconds"],
-            event_log=section["event_log"],
-            queries=queries,
-            maintenance=section["maintenance"],
-            maintenance_interval_seconds=section["maintenance_interval_seconds"],
-            maintenance_idle_seconds=section["maintenance_idle_seconds"],
-            prewarm_queries=section["prewarm_queries"],
-            owns_discovery=True,
-        )
+        discovery = Discovery.from_config(config)
+        try:
+            section = discovery.config.section("server", **overrides)
+            return cls(
+                discovery.attach(lake),
+                **section,
+                queries=queries,
+                owns_discovery=True,
+            )
+        except BaseException:
+            discovery.close()
+            raise
 
     # -------------------------------------------------------------- lifecycle
     @property

@@ -128,27 +128,6 @@ class IndexStore:
             backend, root=self.root, path=path, pool_size=pool_size, mmap=mmap
         )
 
-    @classmethod
-    def from_config(
-        cls, root: str | Path, section: dict | None = None, **overrides
-    ) -> IndexStore:
-        """Build a store from a validated ``store`` config section.
-
-        ``section`` is the (already defaulted) ``DiscoveryConfig.store``
-        dict; ``None`` means all defaults.  Shared by the facade and the
-        ``warm`` CLI so both construct identically-behaving stores.
-        """
-        section = dict(section or {})
-        return cls(
-            root,
-            backend=section.get("backend", "directory"),
-            path=section.get("path"),
-            pool_size=section.get("pool_size", 4),
-            mmap=section.get("mmap", True),
-            lazy_shards=section.get("lazy_shards", True),
-            **overrides,
-        )
-
     # ------------------------------------------------------------- addressing
     @property
     def backend_name(self) -> str:

@@ -1,6 +1,9 @@
 """Tests for the unified discovery API: registries, config, facade."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st, target
 
 from repro import DustPipeline
 from repro.api import (
@@ -14,6 +17,7 @@ from repro.api import (
     available_searchers,
     available_tuple_encoders,
 )
+from repro.api.config import SECTION_KEYS
 from repro.api.facade import ResultSet, build_benchmark
 from repro.api.registry import DIVERSIFIERS, SEARCHERS, TUPLE_ENCODERS
 from repro.benchgen import generate_ugen_benchmark
@@ -136,6 +140,131 @@ class TestComponentSpec:
             ComponentSpec.from_value({"num_hashes": 16}, section="searcher")
 
 
+#: Fingerprints measured before the config key table replaced the
+#: per-section validators; a moved key, default or value type changes them.
+PINNED_FINGERPRINTS = {
+    "default": "4fec8b0d7f9d40e59adf82d7c2a9d86a788428d64a1f996c759ab8916546c807",
+    "exact": "771d5346ebe3af7a0ee848dfc110877debf06df78ce90553d3ca7c5211cee4c5",
+    "balanced": "7f453fd8239201c735e9dd136107e527e0a1cbebc7234960c6e488af9e9413d9",
+    "low-latency": "feb965d03630f92333a28b352619465f2d272b1fe7b1ecc00b4353fbcf8f8323",
+    "all-sections": "19c96225f3f2696561aaaa16ca4afd08797650ba171704833d21b4a60ec4c45a",
+}
+
+#: ``to_dict()`` of the config with all six operational sections given as
+#: ``{}``, copied from the same measurement.
+ALL_SECTIONS_TO_DICT = {
+    "searcher": {"name": "overlap"},
+    "column_encoder": {"name": "column-level", "base": "roberta"},
+    "tuple_encoder": {"name": "roberta"},
+    "diversifier": {"name": "dust"},
+    "pipeline": {"num_search_tables": 10, "k": 30, "min_query_rows": 3},
+    "dust": {
+        "candidate_multiplier": 2,
+        "prune_limit": 2500,
+        "metric": "cosine",
+        "linkage": "average",
+        "cluster_metric": "euclidean",
+    },
+    "serving": {
+        "store_dir": None,
+        "cache_size": 1024,
+        "max_workers": None,
+        "chunk_size": 8,
+        "parallelism": "auto",
+        "parallel_min_seconds": 1.0,
+    },
+    "sharding": {
+        "num_shards": 1,
+        "strategy": "hash",
+        "build_workers": None,
+        "build_parallelism": "auto",
+        "parallel_min_seconds": 0.5,
+    },
+    "cascade": {
+        "mode": "approx",
+        "prefilter": "auto",
+        "candidate_budget": 32,
+        "escalation_margin": 0.0,
+        "projection_dim": 16,
+        "num_hashes": 64,
+        "num_bands": 16,
+        "seed": 7,
+    },
+    "server": {
+        "host": "127.0.0.1",
+        "port": 8765,
+        "max_inflight": 4,
+        "queue_timeout_seconds": 1.0,
+        "retry_after_seconds": 1.0,
+        "event_log": None,
+        "maintenance": True,
+        "maintenance_interval_seconds": 1.0,
+        "maintenance_idle_seconds": 0.5,
+        "prewarm_queries": 8,
+    },
+    "ingest": {
+        "max_batch_events": 256,
+        "max_batch_bytes": 1048576,
+        "max_latency_seconds": 0.5,
+        "checkpoint": True,
+        "rebalance_skew_threshold": 2.0,
+        "exclusive_timeout_seconds": 5.0,
+    },
+    "store": {
+        "backend": "directory",
+        "path": None,
+        "pool_size": 4,
+        "mmap": True,
+        "lazy_shards": True,
+    },
+}
+
+#: Wrongly typed or out-of-range values that once raised a raw TypeError or
+#: were accepted silently.
+BAD_SECTION_VALUES = [
+    ("serving", "cache_size", "big"),
+    ("cascade", "escalation_margin", None),
+    ("ingest", "max_latency_seconds", "0.5"),
+    ("sharding", "build_workers", "4"),
+    ("sharding", "parallel_min_seconds", None),
+    ("sharding", "num_shards", True),
+    ("cascade", "candidate_budget", True),
+    ("server", "port", True),
+    ("server", "port", 70000),
+    ("serving", "chunk_size", 2.5),
+    ("cascade", "seed", "x"),
+    ("serving", "store_dir", 5),
+    ("ingest", "max_latency_seconds", float("nan")),
+]
+
+
+def _section_payloads(section: str):
+    """JSON-like dicts over ``section``'s keys (plus one unknown key)."""
+    specs = SECTION_KEYS[section].values()
+    near_valid = [
+        value
+        for spec in specs
+        for value in (spec.default, spec.ge, spec.gt, spec.le, *(spec.choices or ()))
+    ]
+    json_like = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=4,
+    )
+    return st.dictionaries(
+        st.sampled_from([*SECTION_KEYS[section], "bogus"]),
+        st.sampled_from(near_valid) | json_like,
+        max_size=4,
+    )
+
+
+def _docs_section(text: str, section: str) -> str:
+    start = text.index(f"#### `{section}`")
+    end = text.find("\n#", start + 1)
+    return text[start : end if end != -1 else len(text)]
+
+
 class TestDiscoveryConfig:
     def test_defaults_are_valid_and_canonical(self):
         config = DiscoveryConfig()
@@ -218,6 +347,65 @@ class TestDiscoveryConfig:
         assert config.serving["parallelism"] == "auto"
         with pytest.raises(ConfigurationError, match="unknown keys"):
             DiscoveryConfig.from_dict({"serving": {"store": "x"}})
+
+    @pytest.mark.parametrize("section, key, value", BAD_SECTION_VALUES)
+    def test_bad_section_values_raise_configuration_error(self, section, key, value):
+        with pytest.raises(ConfigurationError, match=rf"^{section}\.{key} must be"):
+            DiscoveryConfig.from_dict({section: {key: value}})
+
+    def test_fingerprints_and_canonical_form_are_pinned(self):
+        configs = {
+            "default": DiscoveryConfig(),
+            **{name: DiscoveryConfig.preset(name) for name in ("exact", "balanced", "low-latency")},
+            "all-sections": DiscoveryConfig.from_dict({name: {} for name in SECTION_KEYS}),
+        }
+        assert {name: config.fingerprint() for name, config in configs.items()} == (
+            PINNED_FINGERPRINTS
+        )
+        assert configs["all-sections"].to_dict() == ALL_SECTIONS_TO_DICT
+
+    def test_section_fills_defaults_without_marking_present(self):
+        config = DiscoveryConfig()
+        for name in SECTION_KEYS:
+            assert config.section(name) == ALL_SECTIONS_TO_DICT[name]
+            assert getattr(config, name) is None
+        assert "serving" not in config.to_dict()
+        tuned = DiscoveryConfig.from_dict({"server": {"port": 0}})
+        assert tuned.section("server", max_inflight=2)["port"] == 0
+        assert tuned.section("server", max_inflight=2)["max_inflight"] == 2
+        with pytest.raises(ConfigurationError, match=r"server\.port"):
+            tuned.section("server", port=70000)
+        with pytest.raises(ConfigurationError, match="unknown config section"):
+            config.section("pipeline")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {}, optional={name: _section_payloads(name) for name in SECTION_KEYS}
+        )
+    )
+    def test_arbitrary_sections_build_or_fail_typed(self, payload):
+        try:
+            config = DiscoveryConfig.from_dict(payload)
+        except ConfigurationError:
+            target(0.0, label="accepted")
+            return
+        # Steer generation towards accepted configs, whose round trip is the
+        # interesting half of the property.
+        target(1.0, label="accepted")
+        rebuilt = DiscoveryConfig.from_dict(config.to_dict())
+        assert rebuilt == config
+        assert rebuilt.fingerprint() == config.fingerprint()
+
+    def test_every_section_key_is_documented(self):
+        text = (Path(__file__).resolve().parent.parent / "docs" / "api.md").read_text()
+        missing = [
+            f"{section}.{key}"
+            for section, keys in SECTION_KEYS.items()
+            for key in keys
+            if f"| `{key}` |" not in _docs_section(text, section)
+        ]
+        assert not missing
 
     def test_config_objects_resolve(self):
         config = DiscoveryConfig.from_dict(SMALL_CONFIG)

@@ -658,6 +658,10 @@ class TestServerLifecycle:
             with pytest.raises(ServingError):
                 DiscoveryServer(discovery, port=0, max_inflight=0)
 
+    def test_from_config_validates_overrides(self, small_benchmark):
+        with pytest.raises(ConfigurationError, match=r"server\.port"):
+            DiscoveryServer.from_config(None, small_benchmark.lake, port=70000)
+
 
 # --------------------------------------------------------------------- the CLI
 class TestCliSurface:
@@ -688,6 +692,15 @@ class TestCliSurface:
             flag_sets[name] = flags & shared
         assert flag_sets["search"] == flag_sets["warm"] == flag_sets["serve"]
 
+    def test_serve_flags_are_validated_like_config_keys(self, capsys):
+        from repro.api.cli import main
+
+        code = main(["serve", "--port", "70000", "--benchmark", "ugen"])
+        assert code != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: server.port ")
+        assert len(err.strip().splitlines()) == 1  # no traceback
+
     def test_search_json_flag_prints_exact_payload(self, capsys, tmp_path):
         from repro.api.cli import main
 
@@ -711,20 +724,3 @@ class TestCliSurface:
         payload = validate_result_payload(json.loads(stdout))
         assert stdout.strip() == dump_result(payload)
         assert json.loads(output.read_text()) == json.loads(stdout)
-
-    def test_warm_shim_emits_deprecation_warning(self, tmp_path, capsys):
-        from repro.serving.warm import main as warm_main
-
-        with pytest.warns(DeprecationWarning, match="python -m repro warm"):
-            code = warm_main(
-                [
-                    "--store",
-                    str(tmp_path / "store"),
-                    "--benchmark",
-                    "ugen",
-                    "--backends",
-                    "overlap",
-                ]
-            )
-        assert code == 0
-        capsys.readouterr()
