@@ -8,6 +8,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
+#: Row multiple every :func:`padded_matmul` block is zero-padded to.
+GEMM_ROW_MULTIPLE = 16
+
 
 @dataclass(frozen=True)
 class EncoderInfo:
@@ -39,11 +42,17 @@ class TupleEncoder(abc.ABC):
     def encode_many(self, texts: Sequence[str]) -> np.ndarray:
         """Encode a batch of serialized tuples into a ``(n, dim)`` matrix.
 
-        This is the batch entry point the pipeline's embedding stage calls.
-        The default loops over :meth:`encode_text`; encoders with a cheaper
-        batch path (shared token matrices, one matmul for the whole batch)
-        override it — row ``i`` must stay identical to
-        ``encode_text(texts[i])``.
+        This is the batch entry point of the pipeline's tuple stage, of the
+        column encoders and of fine-tuning.  The default loops over
+        :meth:`encode_text`; encoders with a cheaper batch path (shared token
+        matrices, stacked GEMMs) override it.
+
+        Contract: row ``i`` is bit-identical (``np.array_equal``) to
+        ``encode_text(texts[i])``, whatever else is in the batch and wherever
+        ``texts[i]`` sits in it.  A batch implementation therefore keeps every
+        row's floating-point operations independent of its neighbours: per-row
+        reductions instead of ``axis=1`` ones, and matrix products through
+        :func:`padded_matmul`.
         """
         if not texts:
             return np.zeros((0, self.dimension), dtype=np.float64)
@@ -76,10 +85,38 @@ def l2_normalize(vector: np.ndarray, *, epsilon: float = 1e-12) -> np.ndarray:
     return vector / norm
 
 
+def padded_matmul(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``rows @ weights`` with ``rows`` zero-padded to a multiple of
+    :data:`GEMM_ROW_MULTIPLE`.
+
+    OpenBLAS's dgemm runs the last ``M % 4`` rows of a block through a tail
+    microkernel (Haswell, Zen), whose bits can differ from the main kernel's.
+    Unpadded, a row's output would then depend on which rows it was stacked
+    with.  Padded to a multiple of 16 every row goes through the main kernel,
+    so each output row depends only on its own input row.  Two other
+    size-dependent OpenBLAS paths stay uncovered: SkylakeX's small-matrix
+    kernel (``m * n * k <= 1e6``) and a two-thread split of an output width
+    that is not a multiple of 32.  The library's 768-d encoders and default
+    DUST head take neither.
+    """
+    count = rows.shape[0]
+    padded = -(-count // GEMM_ROW_MULTIPLE) * GEMM_ROW_MULTIPLE
+    if padded != count:
+        rows = np.concatenate([rows, np.zeros((padded - count, rows.shape[1]))])
+    return (rows @ weights)[:count]
+
+
 def l2_normalize_rows(matrix: np.ndarray, *, epsilon: float = 1e-12) -> np.ndarray:
-    """Row-wise L2 normalisation of a 2-D matrix."""
+    """:func:`l2_normalize` applied to each row of a 2-D matrix.
+
+    Each row's norm is the same ``np.linalg.norm`` call :func:`l2_normalize`
+    makes (an ``axis=1`` reduction sums in a different order), so row ``i``
+    is bit-identical to ``l2_normalize(matrix[i])``.
+    """
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms = np.where(norms < epsilon, 1.0, norms)
-    return matrix / norms
+    norms = np.array([np.linalg.norm(row) for row in matrix])
+    zero = norms < epsilon
+    normalized = matrix / np.where(zero, 1.0, norms)[:, None]
+    normalized[zero] = 0.0
+    return normalized

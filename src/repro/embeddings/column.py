@@ -97,7 +97,7 @@ class CellLevelColumnEncoder(ColumnEncoder):
         cells = [value for value in values if not is_null(value)][: self._max_cells]
         if not cells:
             return self._base.encode_text(str(header))
-        embeddings = [self._base.encode_text(f"{header} {value}") for value in cells]
+        embeddings = self._base.encode_many([f"{header} {value}" for value in cells])
         return l2_normalize(np.mean(embeddings, axis=0))
 
 

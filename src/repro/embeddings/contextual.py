@@ -16,19 +16,34 @@ random (not trained), the resulting space is only weakly aligned with
 unionability — the behaviour the paper reports for pre-trained models — while
 the fine-tuning head of :mod:`repro.models` can still learn a good space on
 top of the same features.
+
+Every encode goes through one batch kernel (``_encode_sequences``): distinct
+token sequences are stacked into blocks of at most :data:`CHUNK_ROWS` rows
+and each layer runs one row-padded GEMM per block (see
+:func:`~repro.embeddings.base.padded_matmul`), so a row of ``encode_many`` is
+bit-identical to ``encode_text`` of its text alone.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.api.registry import register_tuple_encoder
-from repro.embeddings.base import EncoderInfo, TupleEncoder, l2_normalize
+from repro.embeddings.base import (
+    GEMM_ROW_MULTIPLE,
+    EncoderInfo,
+    TupleEncoder,
+    l2_normalize_rows,
+    padded_matmul,
+)
 from repro.embeddings.hashing import HashedVectorSpace
 from repro.embeddings.tokenizer import CLS_TOKEN, MAX_SEQUENCE_LENGTH, Tokenizer
 from repro.utils.rng import stable_hash
+
+#: Token rows packed into one GEMM block by the batch kernel.
+CHUNK_ROWS = 256
 
 
 def _position_encoding(length: int, dimension: int) -> np.ndarray:
@@ -100,35 +115,127 @@ class ContextualEncoder(TupleEncoder):
         return self._info
 
     # ---------------------------------------------------------------- encoding
-    def encode_tokens(self, tokens: list[str]) -> np.ndarray:
+    def encode_tokens(self, tokens: Sequence[str]) -> np.ndarray:
         """Encode a pre-tokenized sequence into one embedding."""
-        if not tokens:
-            return np.zeros(self.dimension, dtype=np.float64)
-        tokens = tokens[:MAX_SEQUENCE_LENGTH]
-        hidden = np.vstack([self._space.token_vector(token) for token in tokens])
-        hidden = hidden + 0.05 * _cached_positions(len(tokens), self.dimension)
-        for weights in self._weights:
-            context = hidden.mean(axis=0, keepdims=True)
-            blended = (1.0 - self._context_weight) * hidden + self._context_weight * context
-            hidden = np.tanh(blended @ weights) + hidden
-        if self._pooling == "mean":
-            pooled = hidden.mean(axis=0)
-        else:
-            pooled = 0.7 * hidden[0] + 0.3 * hidden.mean(axis=0)
-        return l2_normalize(pooled)
+        return self._encode_sequences([tokens])[0]
 
     def encode_text(self, text: str) -> np.ndarray:
         """Tokenize and encode a serialized tuple / column sentence."""
+        return self.encode_many([text])[0]
+
+    def encode_many(self, texts: Sequence[str]) -> np.ndarray:
+        """Encode a batch of texts; each distinct text is tokenized once."""
+        if type(self).encode_text is not ContextualEncoder.encode_text:
+            # A subclass that redefines encode_text keeps the batch contract
+            # through the generic per-text loop.
+            return super().encode_many(texts)
+        tokenized: dict[str, list[str]] = {}
+        for text in texts:
+            if text not in tokenized:
+                tokenized[text] = self._tokenize(text)
+        return self._encode_sequences([tokenized[text] for text in texts])
+
+    def _tokenize(self, text: str) -> list[str]:
         tokens = self._tokenizer.tokenize_text(text)
         if tokens and tokens[0] != CLS_TOKEN:
             tokens = [CLS_TOKEN, *tokens]
-        return self.encode_tokens(tokens)
+        return tokens
+
+    def _encode_sequences(self, sequences: Sequence[Sequence[str]]) -> np.ndarray:
+        """The batch kernel: one ``(n, dim)`` row per token sequence.
+
+        Each distinct sequence (after truncation to the 512-token limit) is
+        encoded once.  Distinct sequences are packed, in order, into blocks of
+        at most :data:`CHUNK_ROWS` token rows — a longer sequence forms a block
+        of its own — and every layer runs one row-padded GEMM per block.
+        Nothing in a row's arithmetic depends on the other sequences of its
+        block, so each row is bit-identical to encoding its sequence alone.
+        """
+        distinct: dict[tuple[str, ...], int] = {}
+        rows = [
+            distinct.setdefault(tuple(tokens[:MAX_SEQUENCE_LENGTH]), len(distinct))
+            for tokens in sequences
+        ]
+        encoded = np.zeros((len(distinct), self.dimension), dtype=np.float64)
+        todo = [(row, tokens) for tokens, row in distinct.items() if tokens]
+        for chunk in _chunks(todo, [len(tokens) for _, tokens in todo]):
+            pooled = self._encode_chunk([tokens for _, tokens in chunk])
+            encoded[[row for row, _ in chunk]] = l2_normalize_rows(pooled)
+        return encoded[rows]
+
+    def _encode_chunk(self, sequences: list[tuple[str, ...]]) -> np.ndarray:
+        """Pooled (unnormalised) states of the non-empty ``sequences``.
+
+        The stacked ``hidden`` block carries zero rows up to a multiple of
+        :data:`GEMM_ROW_MULTIPLE`.  They stay zero through every layer
+        (``tanh(0 @ W) + 0``), so each GEMM is padded without a copy.
+        """
+        lengths = [len(tokens) for tokens in sequences]
+        bounds = np.cumsum([0, *lengths])
+        rows = int(bounds[-1])
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        segment = np.repeat(np.arange(len(sequences)), lengths)
+        padded = -(-rows // GEMM_ROW_MULTIPLE) * GEMM_ROW_MULTIPLE
+        hidden = np.zeros((padded, self.dimension), dtype=np.float64)
+        stacked = hidden[:rows]
+        np.stack(
+            [self._space.token_vector(token) for tokens in sequences for token in tokens],
+            out=stacked,
+        )
+        positions = _position_table(self.dimension)
+        stacked += 0.05 * np.concatenate([positions[:length] for length in lengths])
+        weight = self._context_weight
+        for weights in self._weights:
+            context = _segment_means(hidden, spans)
+            blended = (1.0 - weight) * hidden
+            blended[:rows] += (weight * context)[segment]
+            mixed = padded_matmul(blended, weights)
+            np.tanh(mixed, out=mixed)
+            mixed += hidden
+            hidden = mixed
+        means = _segment_means(hidden, spans)
+        if self._pooling == "mean":
+            return means
+        return 0.7 * hidden[bounds[:-1]] + 0.3 * means
 
 
-@lru_cache(maxsize=8)
-def _cached_positions(length: int, dimension: int) -> np.ndarray:
-    """Cache position encodings; lengths repeat heavily across tuples."""
-    return _position_encoding(length, dimension)
+def _chunks(items: list, lengths: list[int]) -> Iterator[list]:
+    """Split ``items`` in order into runs of at most :data:`CHUNK_ROWS` rows."""
+    chunk: list = []
+    rows = 0
+    for item, length in zip(items, lengths):
+        if chunk and rows + length > CHUNK_ROWS:
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append(item)
+        rows += length
+    if chunk:
+        yield chunk
+
+
+def _segment_means(hidden: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
+    """Per-sequence means; ``mean(axis=0)`` per slice keeps a sequence's bits.
+
+    (``np.add.reduceat`` sums in a different order.)
+    """
+    return np.vstack([hidden[start:stop].mean(axis=0) for start, stop in spans])
+
+
+def _position_table(dimension: int) -> np.ndarray:
+    """The read-only ``(512, dimension)`` position encodings, sliced per sequence.
+
+    One table per dimension, shared by every encoder in the process (a
+    process holds several encoders of one size).  A slice ``[:n]`` is
+    bit-identical to ``_position_encoding(n, dimension)``.
+    """
+    if dimension not in _POSITION_TABLES:
+        table = _position_encoding(MAX_SEQUENCE_LENGTH, dimension)
+        table.flags.writeable = False
+        _POSITION_TABLES[dimension] = table
+    return _POSITION_TABLES[dimension]
+
+
+_POSITION_TABLES: dict[int, np.ndarray] = {}
 
 
 @register_tuple_encoder("bert")

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.api.registry import register_tuple_encoder
-from repro.embeddings.base import EncoderInfo, TupleEncoder, l2_normalize
+from repro.embeddings.base import EncoderInfo, TupleEncoder, l2_normalize, l2_normalize_rows
 from repro.embeddings.hashing import HashedVectorSpace
 from repro.embeddings.tokenizer import Tokenizer
 
@@ -58,21 +58,14 @@ class _StaticWordModel(TupleEncoder):
 
         Tokenisation still runs per text, but every distinct token vector is
         materialised once for the batch (instead of once per occurrence via
-        the per-text ``vstack`` loop) and rows are normalised in one pass.
+        the per-text ``vstack`` loop) and each row is normalised as
+        :func:`l2_normalize` would.
         Row ``i`` is bit-identical to ``encode_text(texts[i])``.
         """
         if not texts:
             return np.zeros((0, self.dimension), dtype=np.float64)
         token_lists = [self._tokenizer.tokenize_text(text) for text in texts]
-        encoded = self._space.encode_token_batches(token_lists)
-        # Per-row np.linalg.norm keeps each row bit-identical to the
-        # encode_text path (the axis=1 reduction sums in a different order).
-        norms = np.array([np.linalg.norm(row) for row in encoded])
-        zero = norms < 1e-12
-        safe = np.where(zero, 1.0, norms)
-        encoded = encoded / safe[:, None]
-        encoded[zero] = 0.0
-        return encoded
+        return l2_normalize_rows(self._space.encode_token_batches(token_lists))
 
 
 @register_tuple_encoder("fasttext")

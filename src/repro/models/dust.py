@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.embeddings.base import EncoderInfo, TupleEncoder, l2_normalize
+from repro.embeddings.base import EncoderInfo, TupleEncoder, l2_normalize_rows
 from repro.embeddings.contextual import BertLikeModel, RobertaLikeModel
 from repro.models.dataset import TuplePairDataset
 from repro.models.layers import EmbeddingHead
@@ -45,18 +45,13 @@ class DustTupleModel(TupleEncoder):
         return self._info
 
     def encode_text(self, text: str) -> np.ndarray:
-        features = self.base_encoder.encode_text(text)
-        embedding = self.head.forward(features[None, :])[0]
-        return l2_normalize(embedding)
+        return self.encode_many([text])[0]
 
     def encode_many(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             return np.zeros((0, self.dimension), dtype=np.float64)
         features = self.base_encoder.encode_many(list(texts))
-        embeddings = self.head.forward(features)
-        norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
-        norms = np.where(norms < 1e-12, 1.0, norms)
-        return embeddings / norms
+        return l2_normalize_rows(self.head.forward(features))
 
 
 def build_dust_model(

@@ -12,6 +12,7 @@ import abc
 
 import numpy as np
 
+from repro.embeddings.base import padded_matmul
 from repro.utils.errors import TrainingError
 from repro.utils.rng import seeded_rng
 
@@ -61,8 +62,9 @@ class Linear(Layer):
         self._inputs: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
+        # Row-padded, so an output row depends only on its own input row.
         self._inputs = np.asarray(inputs, dtype=np.float64)
-        return self._inputs @ self.weight + self.bias
+        return padded_matmul(self._inputs, self.weight) + self.bias
 
     def backward(self, grad_outputs: np.ndarray) -> np.ndarray:
         if self._inputs is None:

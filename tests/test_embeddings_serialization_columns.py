@@ -15,6 +15,7 @@ from repro.embeddings import (
     serialize_column,
     serialize_tuple,
 )
+from repro.embeddings.base import l2_normalize
 from repro.embeddings.serialization import serialize_aligned_tuple
 from repro.embeddings.tokenizer import CLS_TOKEN, SEP_TOKEN
 from repro.utils.errors import EmbeddingError
@@ -113,6 +114,17 @@ class TestColumnEncoders:
         assert np.allclose(
             vector, encoder.encode_column("Park Name", parks.column_values("Park Name"))
         )
+
+    @pytest.mark.parametrize("base_class", [FastTextLikeModel, RobertaLikeModel])
+    def test_cell_level_batches_cells_bit_identically(self, park_tables, base_class):
+        parks, _ = park_tables
+        base = base_class()
+        values = [*parks.column_values("Park Name"), None, parks.column_values("Park Name")[0]]
+        expected = l2_normalize(
+            np.mean([base.encode_text(f"Park Name {value}") for value in values if value], axis=0)
+        )
+        encoded = CellLevelColumnEncoder(base).encode_column("Park Name", values)
+        assert np.array_equal(encoded, expected)
 
     def test_cell_level_empty_column_uses_header(self):
         encoder = CellLevelColumnEncoder(FastTextLikeModel())

@@ -144,6 +144,17 @@ class TestDustModel:
         assert matrix.shape == (2, 96)
         assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0)
 
+    def test_encode_many_rows_match_encode_text(self):
+        # The paper's head shape (768 -> 256 -> 768); see padded_matmul for
+        # the BLAS paths that row padding covers.
+        model = DustTupleModel(BertLikeModel(), EmbeddingHead(input_dim=768, seed=4))
+        texts = ["[CLS] name park a [SEP]", "", "[CLS] name movie b [SEP]"] + [
+            f"[CLS] name park {i} [SEP] city c{i % 5} [SEP]" for i in range(40)
+        ]
+        batched = model.encode_many(texts)
+        for row, text in zip(batched, texts):
+            assert np.array_equal(row, model.encode_text(text))
+
     def test_dimension_mismatch_rejected(self):
         head = EmbeddingHead(input_dim=10, hidden_dim=4, output_dim=4)
         with pytest.raises(TrainingError):
