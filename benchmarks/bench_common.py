@@ -104,7 +104,7 @@ def search_service(backend: str, benchmark_name: str):
     resolved by registry name and indexes are persisted under
     ``.cache/index-store`` keyed by backend configuration and lake content,
     so each lake is indexed at most once across *all* harness runs; queries
-    are LRU-cached and (for large workloads) served in parallel.
+    are LRU-cached.
     """
     from repro.api import Discovery
 

@@ -8,11 +8,14 @@ bound address from the ``SERVING http://host:port`` readiness line, and then:
    --json`` for the same benchmark query (canonical serializations —
    volatile ``timings`` stripped — must be bit-identical),
 3. reads ``/v1/metrics`` and checks the served counter,
-4. round-trips streaming ingestion: ``python -m repro ingest`` pipes a
+4. sends a malformed inline query table (``"columns": 5``) and requires a
+   400 with a JSON ``error`` body, then a successful search on the same
+   server,
+5. round-trips streaming ingestion: ``python -m repro ingest`` pipes a
    JSONL add through ``POST /v1/ingest``, a follow-up query finds the
    ingested table, and ``/v1/metrics`` reports the applied batch in its
    ``lake``/``ingest`` blocks,
-5. sends SIGTERM and requires a clean exit code 0.
+6. sends SIGTERM and requires a clean exit code 0.
 
 Run from the repo root::
 
@@ -26,7 +29,7 @@ import os
 import signal
 import subprocess
 import sys
-import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -46,6 +49,17 @@ K = 4
 def _fail(message: str) -> int:
     print(f"FAIL: {message}")
     return 1
+
+
+def _post_search(url: str, payload: dict) -> tuple[int, bytes]:
+    request = urllib.request.Request(
+        url + "/v1/search", data=json.dumps(payload).encode(), method="POST"
+    )
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
 
 
 def _wait_for_ready(proc: subprocess.Popen) -> str | None:
@@ -116,6 +130,15 @@ def main() -> int:
         if counters["served"] != 1 or counters["errors"] != 0:
             return _fail(f"unexpected counters {counters}")
         print(f"metrics: {counters}")
+
+        malformed = {"query_table": {"name": "q", "columns": 5, "rows": []}, "k": K}
+        status, body = _post_search(url, malformed)
+        if status != 400 or "error" not in json.loads(body):
+            return _fail(f"malformed query table got {status}: {body!r}")
+        status, _ = _post_search(url, {"query_index": 1, "k": K})
+        if status != 200:
+            return _fail(f"search after a malformed body got {status}")
+        print("malformed query table: 400 with a JSON error, next search 200")
 
         # Streaming ingest round-trip: CLI -> POST /v1/ingest -> query.  The
         # streamed table clones benchmark query 0's content, so re-running

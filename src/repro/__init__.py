@@ -19,8 +19,8 @@ The public API is organised by subsystem:
 * :mod:`repro.datalake` — tables, data lakes and CSV I/O.
 * :mod:`repro.search` — table union search techniques (overlap, Starmie-like,
   D3L-like, SANTOS-like, ground-truth oracle).
-* :mod:`repro.serving` — the persistent index store and the parallel,
-  LRU-cached multi-query search service built on top of ``repro.search``.
+* :mod:`repro.serving` — the persistent index store and the LRU-cached
+  multi-query search service built on top of ``repro.search``.
 * :mod:`repro.alignment` — holistic and bipartite column alignment plus outer
   union.
 * :mod:`repro.embeddings` — word/contextual encoders, column embedders and

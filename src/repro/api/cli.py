@@ -9,7 +9,7 @@ file, defaults otherwise)::
     dust diversify --benchmark ugen --methods dust gmc --k 10
     dust evaluate  --benchmark ugen --k 10
     dust warm      --store .cache/index-store --benchmark ugen --backends overlap d3l
-    dust warm      --store .cache/index-store --benchmark ugen --shards 4 --workers 4
+    dust warm      --store .cache/index-store --benchmark ugen --shards 4
     dust serve     --config cfg.json --benchmark ugen --port 0 --event-log events.jsonl
     dust ingest    --url http://127.0.0.1:8765 --events stream.jsonl
     dust scenarios --smoke
@@ -27,8 +27,8 @@ matrix of :mod:`repro.scenarios` (workload shapes × config grid → Pareto
 fronts, ``--smoke`` for the parity-gated CI slice).  ``search``,
 ``warm`` and ``serve`` share one config-override flag set
 (:func:`config_override_parent`): with ``--shards N`` the lake is
-partitioned, the shard indexes are built in parallel worker processes and
-persisted per shard, and the merged whole-lake entry is persisted too.
+partitioned, one index is built and persisted per shard, and the merged
+whole-lake entry is persisted too.
 """
 
 from __future__ import annotations
@@ -88,10 +88,8 @@ _OVERRIDE_FLAGS = (
      "cascade escalation margin: approximate-score gaps below this escalate "
      "the query to the full exact path (0 = never)"),
     ("--shards", "sharding", "num_shards",
-     "partition the lake into N shards, build the shard indexes in parallel "
-     "and serve by fan-out/merge"),
-    ("--workers", "sharding", "build_workers",
-     "worker processes for parallel shard builds (null = auto)"),
+     "partition the lake into N shards, build one index per shard and serve "
+     "by fan-out/merge"),
     ("--store-backend", "store", "backend",
      "how the index store persists entries: a registered store backend "
      "(directory tree, or one WAL-mode SQLite file with sqlite)"),
@@ -133,10 +131,9 @@ def config_override_parent() -> argparse.ArgumentParser:
     """The one shared config-override flag set of ``search``/``warm``/``serve``.
 
     Every subcommand that builds a deployment inherits this parent, so the
-    identical ``--config``/``--cascade-*``/``--shards``/``--workers``/
-    ``--store-backend`` flags mean the identical thing everywhere —
-    :func:`_load_config` folds them into the :class:`DiscoveryConfig` in one
-    place.
+    identical ``--config``/``--cascade-*``/``--shards``/``--store-backend``
+    flags mean the identical thing everywhere — :func:`_load_config` folds
+    them into the :class:`DiscoveryConfig` in one place.
     """
     parent = argparse.ArgumentParser(add_help=False)
     _add_config_option(parent)
@@ -530,11 +527,10 @@ def _cmd_warm(args: argparse.Namespace) -> int:
     from repro.serving.store import IndexStore
     from repro.utils.errors import SearchError
 
-    # The shared override parent folds --shards/--workers/--cascade-* into
-    # the config, so warm honours a --config file exactly like search/serve.
+    # The shared override parent folds --shards/--cascade-* into the
+    # config, so warm honours a --config file exactly like search/serve.
     config = _load_config(args)
-    sharding = config.section("sharding")
-    num_shards, workers = sharding["num_shards"], sharding["build_workers"]
+    num_shards = config.section("sharding")["num_shards"]
     cascade = config.cascade or {}
     benchmark = build_benchmark(args.benchmark, num_queries=args.num_queries, seed=args.seed)
     lake = benchmark.lake
@@ -544,7 +540,7 @@ def _cmd_warm(args: argparse.Namespace) -> int:
         f"warming {len(args.backends)} backend(s) over {args.benchmark!r} "
         f"({lake.num_tables} tables, {lake.num_rows} rows), "
         f"store={store.root} [{store.backend_name}]"
-        + (f", shards={num_shards}, workers={workers or 'auto'}" if sharded else "")
+        + (f", shards={num_shards}" if sharded else "")
         + (f", cascade={cascade['mode']}" if cascade else "")
     )
     for backend in args.backends:
@@ -560,13 +556,7 @@ def _cmd_warm(args: argparse.Namespace) -> int:
         cached = store.contains(persisted, lake)
         start = time.perf_counter()
         if sharded:
-            build_sharded(
-                searcher,
-                lake,
-                num_shards=num_shards,
-                workers=workers,
-                store=store,
-            )
+            build_sharded(searcher, lake, num_shards=num_shards, store=store)
             if cascade:
                 # The base is already live on this lake, so wrapping only
                 # fits the prefilter; the cascade entry persists alongside

@@ -11,7 +11,7 @@ its registry name plus parameters::
       "pipeline": {"num_search_tables": 10, "k": 30, "min_query_rows": 3},
       "dust": {"candidate_multiplier": 2, "prune_limit": 2500, ...},
       "serving": {"store_dir": ".cache/index-store"},
-      "sharding": {"num_shards": 8, "build_workers": 4}
+      "sharding": {"num_shards": 8, "strategy": "hash"}
     }
 
 The tree round-trips through ``from_dict``/``to_dict`` and JSON, is validated
@@ -84,21 +84,10 @@ SECTION_KEYS: dict[str, dict[str, ConfigKey]] = {
     "serving": {
         "store_dir": ConfigKey(None, str, nullable=True),
         "cache_size": ConfigKey(1024, int, ge=0),
-        "max_workers": ConfigKey(None, int, nullable=True, ge=1),
-        "chunk_size": ConfigKey(8, int, ge=1),
-        "parallelism": ConfigKey(
-            "auto", str, choices=("auto", "process", "thread", "serial")
-        ),
-        "parallel_min_seconds": ConfigKey(1.0, float, ge=0),
     },
     "sharding": {
         "num_shards": ConfigKey(1, int, ge=1),
         "strategy": ConfigKey("hash", str, choices=("hash", "size")),
-        "build_workers": ConfigKey(None, int, nullable=True, ge=1),
-        "build_parallelism": ConfigKey(
-            "auto", str, choices=("auto", "process", "serial")
-        ),
-        "parallel_min_seconds": ConfigKey(0.5, float, ge=0),
     },
     "cascade": {
         "mode": ConfigKey("approx", str, choices=("exact", "approx")),
@@ -308,11 +297,11 @@ class DiscoveryConfig:
     pipeline: dict[str, Any] = field(default_factory=dict)
     dust: dict[str, Any] = field(default_factory=dict)
     serving: dict[str, Any] | None = None
-    #: Optional lake-sharding section: ``{"num_shards": 8, "strategy": "hash",
-    #: "build_workers": 4, ...}``.  With ``num_shards > 1`` every backend the
-    #: facade builds becomes a :class:`~repro.search.sharded.ShardedSearcher`
-    #: — partition-parallel builds, fan-out/merge serving, per-shard store
-    #: entries — transparently, with rankings bit-identical to a flat index.
+    #: Optional lake-sharding section: ``{"num_shards": 8, "strategy":
+    #: "hash"}``.  With ``num_shards > 1`` every backend the facade builds
+    #: becomes a :class:`~repro.search.sharded.ShardedSearcher` — per-shard
+    #: builds, fan-out/merge serving, per-shard store entries —
+    #: transparently, with rankings bit-identical to a flat index.
     sharding: dict[str, Any] | None = None
     #: Optional tiered-cascade section: ``{"mode": "approx",
     #: "candidate_budget": 32, "escalation_margin": 0.0, ...}``.  When present

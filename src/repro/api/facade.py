@@ -307,9 +307,9 @@ class Discovery:
     def close(self) -> None:
         """Release every resource this deployment holds.
 
-        Query-service worker state and result caches are dropped, built
-        searchers/pipelines are released, and the index-store handle is
-        detached.  Serving a query (or attaching a lake) afterwards raises
+        Query-service result caches are dropped, built searchers/pipelines
+        are released, and the index-store handle is detached.  Serving a
+        query (or attaching a lake) afterwards raises
         :class:`~repro.utils.errors.ConfigurationError`; calling ``close``
         again is a no-op.  The facade is a context manager, so long-lived
         callers — the resident server, multi-query ``run_many`` drivers —
@@ -500,17 +500,14 @@ class Discovery:
 
         sharding = self.config.section("sharding")
         if sharding["num_shards"] > 1:
-            # Transparently shard-aware: the composite builds shard indexes
-            # in parallel, serves by fan-out/merge and (with a store)
-            # persists per shard — rankings bit-identical to the flat
-            # backend, so nothing downstream changes.
+            # Transparently shard-aware: the composite builds one index per
+            # shard, serves by fan-out/merge and (with a store) persists per
+            # shard — rankings bit-identical to the flat backend, so nothing
+            # downstream changes.
             searcher: TableUnionSearcher = ShardedSearcher(
                 factory,
                 num_shards=sharding["num_shards"],
                 strategy=sharding["strategy"],
-                workers=sharding["build_workers"],
-                parallelism=sharding["build_parallelism"],
-                parallel_min_seconds=sharding["parallel_min_seconds"],
                 store=self._store,
             )
         else:
@@ -533,15 +530,10 @@ class Discovery:
             return searcher
         searcher = self._build_searcher(key)
         if self.config.serving is not None:
-            serving = self.config.serving
             service = QueryService(
                 searcher,
                 store=self._store,
-                max_workers=serving["max_workers"],
-                chunk_size=serving["chunk_size"],
-                cache_size=serving["cache_size"],
-                parallelism=serving["parallelism"],
-                parallel_min_seconds=serving["parallel_min_seconds"],
+                cache_size=self.config.serving["cache_size"],
             )
             service.warm(self.lake)
             self._services[key] = service
@@ -601,7 +593,7 @@ class Discovery:
         *,
         backend: str | None = None,
     ) -> list[list[SearchResult]]:
-        """Batch step-1 rankings (parallel + cached when serving is enabled)."""
+        """Batch step-1 rankings (cached when serving is enabled)."""
         key = self._backend_key(backend)
         self._ensure_backend(key)
         k = k if k is not None else self._pipeline_config.num_search_tables

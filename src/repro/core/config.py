@@ -9,6 +9,20 @@ from repro.cluster.distance import DISTANCE_FUNCTIONS
 from repro.utils.errors import ConfigurationError
 
 
+def _require_int(name: str, value: object, *, nullable: bool = False) -> None:
+    """Reject anything but an ``int`` (``bool``, ``float`` and ``str`` included)."""
+    if value is None and nullable:
+        return
+    if not isinstance(value, int) or isinstance(value, bool):
+        kind = "an integer or None" if nullable else "an integer"
+        raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+
+
+def _require_str(name: str, value: object) -> None:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{name} must be a string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DustConfig:
     """Parameters of DUST's tuple diversification (Algorithm 2).
@@ -37,6 +51,12 @@ class DustConfig:
     cluster_metric: str = "euclidean"
 
     def __post_init__(self) -> None:
+        # Types first, so no comparison below can raise a raw TypeError or
+        # accept a bool/float silently.
+        _require_int("candidate_multiplier", self.candidate_multiplier)
+        _require_int("prune_limit", self.prune_limit, nullable=True)
+        for name in ("metric", "linkage", "cluster_metric"):
+            _require_str(name, getattr(self, name))
         if self.candidate_multiplier < 1:
             raise ConfigurationError(
                 f"candidate_multiplier (p) must be >= 1, got {self.candidate_multiplier}"
@@ -84,6 +104,8 @@ class PipelineConfig:
     min_query_rows: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("num_search_tables", "k", "min_query_rows"):
+            _require_int(name, getattr(self, name))
         if self.num_search_tables <= 0:
             raise ConfigurationError(
                 f"num_search_tables must be positive, got {self.num_search_tables}"

@@ -233,9 +233,9 @@ class DustPipeline:
 
         ``service`` accepts a prewarmed :class:`~repro.serving.QueryService`
         instead of a raw indexed searcher: step-1 rankings for the whole
-        workload are retrieved up front in parallel (and possibly from the
-        service's cache), the pipeline adopts the service's searcher, and the
-        per-query pipeline stages run on the precomputed rankings.  Served
+        workload are retrieved up front (possibly from the service's cache),
+        the pipeline adopts the service's searcher, and the per-query
+        pipeline stages run on the precomputed rankings.  Served
         selections are identical to the direct path.
         """
         if service is not None:

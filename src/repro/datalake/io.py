@@ -62,6 +62,14 @@ def table_from_payload(payload: Mapping[str, Any]) -> Table:
     missing = {"name", "columns", "rows"} - set(payload)
     if missing:
         raise DataLakeError(f"table payload is missing keys: {sorted(missing)}")
+    for key in ("columns", "rows"):
+        if not isinstance(payload[key], (list, tuple)):
+            raise DataLakeError(
+                f"table payload {key!r} must be a list, got {payload[key]!r}"
+            )
+    for row in payload["rows"]:
+        if not isinstance(row, (list, tuple)):
+            raise DataLakeError(f"table payload rows must be lists, got {row!r}")
     return Table(
         name=str(payload["name"]),
         columns=[str(column) for column in payload["columns"]],

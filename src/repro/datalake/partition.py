@@ -19,7 +19,7 @@ Two partitioning strategies, both deterministic across processes and runs:
 * ``"size"`` — size-balanced greedy assignment (largest table first onto the
   least-loaded shard, by cell count).  Shards carry near-equal build cost,
   but a mutation can rebalance tables across shards, touching more shards on
-  refresh.  Prefer it for one-shot parallel builds of skewed lakes.
+  refresh.  Prefer it for one-shot builds of skewed lakes.
 """
 
 from __future__ import annotations

@@ -120,8 +120,8 @@ def prepare_query_workload(
     search_service:
         A prewarmed :class:`~repro.serving.QueryService`.  When given, the
         unionable tables come from its top-``num_search_tables`` search
-        rankings (cached and servable in parallel) instead of the benchmark's
-        ground truth — the end-to-end setting of Sec. 6.5.
+        rankings (cached) instead of the benchmark's ground truth — the
+        end-to-end setting of Sec. 6.5.
     discovery:
         An attached :class:`~repro.api.facade.Discovery` facade; its
         configured backend (service-cached when the config enables serving)
@@ -191,8 +191,8 @@ def prepare_query_workloads(
 
     With a ``search_service`` (or a serving-enabled ``discovery`` facade),
     the whole workload's top-k searches run first through
-    :meth:`~repro.serving.QueryService.search_many` (parallel, cached) so the
-    per-query preparation below is served from the result cache.
+    :meth:`~repro.serving.QueryService.search_many` so the per-query
+    preparation below is served from the result cache.
     """
     if search_service is not None and discovery is not None:
         raise BenchmarkError("pass either search_service or discovery, not both")

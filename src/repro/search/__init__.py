@@ -11,10 +11,10 @@ Indexes are maintainable, not just buildable: every backend supports
 ``load_index_state()`` for cross-process persistence.  Indexes are also
 **partitionable**: ``build_partial(shard)``/``merge_partials(lake, parts)``
 let a lake's index be assembled from per-shard builds —
-:func:`~repro.search.sharded.build_sharded` runs those builds concurrently
-in forked workers, and :class:`~repro.search.sharded.ShardedSearcher` keeps
-the shards separate and serves queries by fan-out/merge, bit-identical to a
-flat index either way.
+:func:`~repro.search.sharded.build_sharded` merges those builds into one
+index, and :class:`~repro.search.sharded.ShardedSearcher` keeps the shards
+separate and serves queries by fan-out/merge, bit-identical to a flat index
+either way.
 
 Query latency is made sub-linear in lake size by the **tiered cascade**
 (:mod:`repro.search.cascade`): :class:`~repro.search.cascade.CascadeSearcher`

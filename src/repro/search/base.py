@@ -244,9 +244,8 @@ class TableUnionSearcher(abc.ABC):
         The partial is scratch output for :meth:`merge_partials` (or
         :meth:`load_partial` onto a per-shard serving searcher): this
         searcher's own index is clobbered and it is left *un-indexed*, so
-        partial builds can run on forked worker copies or on one scratch
-        instance sequentially without anyone mistaking the intermediate
-        state for a queryable index.
+        partial builds can run on one scratch instance sequentially without
+        anyone mistaking the intermediate state for a queryable index.
         """
         if shard.num_tables == 0:
             raise SearchError("cannot build a partial index over an empty shard")

@@ -5,18 +5,17 @@ Two entry points turn the per-shard protocol of
 ``merge_partials`` / ``finalize_shard_group``) into whole-lake machinery:
 
 * :func:`build_sharded` — partition a lake, build every shard's partial index
-  **concurrently in forked worker processes** (probe-gated, so tiny lakes
-  never pay fork startup) and merge the partials into one monolithic index on
-  the given searcher.  The merged index is bit-identical to a serial
-  ``searcher.index(lake)`` — ranks *and* scores.
+  and merge the partials into one monolithic index on the given searcher.
+  The merged index is bit-identical to ``searcher.index(lake)`` — ranks *and*
+  scores.
 * :class:`ShardedSearcher` — a composite :class:`TableUnionSearcher` that
   keeps one independently-indexed searcher per shard and answers queries by
   **fanning out** over the shard indexes and merging their top-k lists by
   ``(-score, table name)`` — the exact ordering of the monolithic
   ``search()``, so served rankings are bit-identical to an unsharded backend.
   Because it *is* a ``TableUnionSearcher``, everything downstream
-  (``QueryService`` caching and multi-query fan-out, ``DustPipeline``, the
-  ``Discovery`` facade) composes with it unchanged.
+  (``QueryService`` caching, ``DustPipeline``, the ``Discovery`` facade)
+  composes with it unchanged.
 
 Per-shard persistence: give :class:`ShardedSearcher` an
 :class:`~repro.serving.store.IndexStore` and each shard is loaded from /
@@ -37,7 +36,6 @@ bit-identical to one flat index.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -45,12 +43,6 @@ from repro.datalake.lake import DataLake
 from repro.datalake.partition import LakePartitioner, LakeShard, _stable_shard_hash
 from repro.search.base import IndexState, SearchResult, TableUnionSearcher
 from repro.utils.errors import IndexStoreMiss, SearchError, ServingError
-from repro.utils.parallel import (
-    default_worker_count,
-    forked_map,
-    probe_gate,
-    resolve_parallelism,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> search)
     from repro.serving.store import IndexStore
@@ -164,88 +156,15 @@ def _materialize_shard_state(
 ) -> IndexState:
     """Build (or restore) one shard's index and return its serialized state.
 
-    Runs inside a forked worker during parallel builds — the searcher and
-    shard lake are fork-inherited, only the returned state is pickled.  With
-    a store, the shard round-trips through ``load_or_build``: an existing
-    entry for the shard's content is a fast load, a drifted shard is healed
-    by the store's snapshot-delta path, and anything else is built once and
-    persisted — all per shard.
+    With a store, the shard round-trips through ``load_or_build``: an
+    existing entry for the shard's content is a fast load, a drifted shard is
+    healed by the store's snapshot-delta path, and anything else is built
+    once and persisted — all per shard.
     """
     if store is not None and searcher.SHARD_LOCAL_INDEX:
         store.load_or_build(searcher, shard_lake)
         return searcher.index_state()
     return searcher.build_partial(shard_lake)
-
-
-def _build_partials(
-    searchers: Sequence[TableUnionSearcher],
-    shard_lakes: Sequence[DataLake],
-    jobs: Sequence[int],
-    *,
-    store: "IndexStore | None",
-    workers: int | None,
-    parallelism: str,
-    parallel_min_seconds: float,
-    capture_in_process: bool = True,
-) -> dict[int, IndexState | None]:
-    """Materialise every shard index in ``jobs``; return captured states.
-
-    The shared probe-gated fan-out heuristic (one build serves as the probe;
-    the rest fork only when the estimated remaining work amortises worker
-    startup).  Threads are never used: partial builds mutate searcher
-    internals, and index building is GIL-bound anyway.
-
-    Forked shards always come back as serialized states (the only way index
-    structures cross the process boundary).  Shards built *in-process* are
-    left live on their searcher; with ``capture_in_process=False`` their map
-    entry is ``None`` instead of a redundant dump-and-reload round-trip —
-    callers that keep one searcher per shard (:class:`ShardedSearcher`) need
-    no state for them, while :func:`build_sharded` (one scratch searcher for
-    every shard) must capture each state before the next build clobbers it.
-    """
-    states: dict[int, IndexState | None] = {}
-
-    def materialize(shard_id: int) -> IndexState:
-        return _materialize_shard_state(
-            searchers[shard_id], shard_lakes[shard_id], store
-        )
-
-    def build_in_process(shard_id: int) -> None:
-        if capture_in_process:
-            states[shard_id] = materialize(shard_id)
-            return
-        searcher, shard_lake = searchers[shard_id], shard_lakes[shard_id]
-        if store is not None and searcher.SHARD_LOCAL_INDEX:
-            store.load_or_build(searcher, shard_lake)
-        elif searcher.SHARD_LOCAL_INDEX:
-            searcher.index(shard_lake)
-        else:  # oracle-style: index() would validate against the bare shard
-            searcher.load_partial(shard_lake, *searcher.build_partial(shard_lake))
-        states[shard_id] = None  # already live on the shard's own searcher
-
-    mode = resolve_parallelism(parallelism, threads_fallback=False)
-    worker_count = default_worker_count(len(jobs), max_workers=workers)
-    # Builds are CPU-bound: more workers than cores never helps and the
-    # oversubscription context-switching actively hurts, so the requested
-    # worker count is capped at the machine's physical parallelism.
-    worker_count = max(1, min(worker_count, os.cpu_count() or 1))
-    if mode != "process" or worker_count <= 1 or len(jobs) <= 1:
-        for shard_id in jobs:
-            build_in_process(shard_id)
-        return states
-
-    remaining, fan_out = probe_gate(
-        jobs, build_in_process, min_seconds=parallel_min_seconds, max_probes=1
-    )
-    if fan_out:
-        for shard_id, state in zip(
-            remaining, forked_map(materialize, remaining, workers=worker_count)
-        ):
-            states[shard_id] = state
-    else:
-        for shard_id in remaining:
-            build_in_process(shard_id)
-    return states
 
 
 def build_sharded(
@@ -254,12 +173,9 @@ def build_sharded(
     *,
     num_shards: int,
     strategy: str = "hash",
-    workers: int | None = None,
-    parallelism: str = "auto",
-    parallel_min_seconds: float = 0.5,
     store: "IndexStore | None" = None,
 ) -> TableUnionSearcher:
-    """Index ``lake`` on ``searcher`` via parallel per-shard builds + merge.
+    """Index ``lake`` on ``searcher`` via per-shard builds + merge.
 
     Bit-identical to ``searcher.index(lake)`` — the partials are merged with
     the backend's exact-merge implementation (corpus-contribution summation
@@ -287,16 +203,13 @@ def build_sharded(
         if store is not None:
             return store.load_or_build(searcher, lake)
         return searcher.index(lake)
-    states = _build_partials(
-        [searcher] * len(shards),  # workers fork copies; serial reuse is safe
-        shard_lakes,
-        jobs,
-        store=store,
-        workers=workers,
-        parallelism=parallelism,
-        parallel_min_seconds=parallel_min_seconds,
-    )
-    searcher.merge_partials(lake, [states[shard_id] for shard_id in jobs])
+    # One scratch searcher serves every shard, so each state is captured
+    # before the next shard's build clobbers it.
+    states = [
+        _materialize_shard_state(searcher, shard_lakes[shard_id], store)
+        for shard_id in jobs
+    ]
+    searcher.merge_partials(lake, states)
     if store is not None:
         try:
             store.save(searcher, lake)
@@ -306,7 +219,7 @@ def build_sharded(
 
 
 class ShardedSearcher(TableUnionSearcher):
-    """Partition-parallel composite searcher with fan-out/merge serving.
+    """Partitioned composite searcher with fan-out/merge serving.
 
     Parameters
     ----------
@@ -318,8 +231,6 @@ class ShardedSearcher(TableUnionSearcher):
         The :class:`~repro.datalake.partition.LakePartitioner` configuration.
         ``"hash"`` keeps table->shard assignment mutation-stable, so a lake
         mutation touches exactly the shards whose tables changed.
-    workers, parallelism, parallel_min_seconds:
-        Parallel-build knobs shared with :func:`build_sharded`.
     store:
         Optional :class:`~repro.serving.store.IndexStore`.  Each shard then
         persists as its own entry keyed by shard content fingerprint;
@@ -340,17 +251,11 @@ class ShardedSearcher(TableUnionSearcher):
         *,
         num_shards: int,
         strategy: str = "hash",
-        workers: int | None = None,
-        parallelism: str = "auto",
-        parallel_min_seconds: float = 0.5,
         store: "IndexStore | None" = None,
     ) -> None:
         super().__init__()
         self.factory = factory
         self.partitioner = LakePartitioner(num_shards, strategy=strategy)
-        self.workers = workers
-        self.parallelism = parallelism
-        self.parallel_min_seconds = parallel_min_seconds
         self.store = store
         _ensure_store_capacity(store, self.partitioner.num_shards)
         self._prototype = factory()
@@ -519,23 +424,14 @@ class ShardedSearcher(TableUnionSearcher):
             return
         self._deferred = {}
         for shard_id in jobs:
-            searchers[shard_id] = self.factory()
-        states = _build_partials(
-            searchers,  # type: ignore[arg-type]  (jobs index only built slots)
-            shard_lakes,
-            jobs,
-            store=self.store,
-            workers=self.workers,
-            parallelism=self.parallelism,
-            parallel_min_seconds=self.parallel_min_seconds,
-            capture_in_process=False,  # in-process shards are live already
-        )
-        for shard_id in jobs:
-            state = states[shard_id]
-            if state is not None:  # fork-built shards arrive as states
-                searchers[shard_id].load_partial(  # type: ignore[union-attr]
-                    shard_lakes[shard_id], *state
-                )
+            searcher = searchers[shard_id] = self.factory()
+            shard_lake = shard_lakes[shard_id]
+            if self.store is not None and searcher.SHARD_LOCAL_INDEX:
+                self.store.load_or_build(searcher, shard_lake)
+            elif searcher.SHARD_LOCAL_INDEX:
+                searcher.index(shard_lake)
+            else:  # oracle-style: index() would validate against the bare shard
+                searcher.load_partial(shard_lake, *searcher.build_partial(shard_lake))
         self._adopt_partition(lake, shards, shard_lakes, searchers)
 
     # ------------------------------------------------------------ maintenance

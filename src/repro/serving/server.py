@@ -51,8 +51,9 @@ import signal
 import sys
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.api.schema import RESULT_SCHEMA_VERSION, dump_result
 from repro.datalake.io import table_from_payload
@@ -76,6 +77,12 @@ ENDPOINTS: dict[str, tuple[str, ...]] = {
 
 def _json_bytes(payload: Any) -> bytes:
     return json.dumps(payload, indent=2, sort_keys=True, default=str).encode("utf-8")
+
+
+def _internal_error(exc: Exception) -> str:
+    """Print the handled exception's traceback to stderr; return the client's message."""
+    traceback.print_exc(file=sys.stderr)
+    return f"internal server error: {type(exc).__name__}: {exc}"
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -112,12 +119,31 @@ class _RequestHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         return path.rstrip("/") or "/"
 
-    def _not_found(self, path: str) -> None:
-        self._respond(
-            404, _json_bytes({"error": f"unknown path {path!r}", "endpoints": ENDPOINTS})
+    def _not_found(self, path: str) -> tuple[int, dict[str, str], bytes]:
+        return 404, {}, _json_bytes(
+            {"error": f"unknown path {path!r}", "endpoints": ENDPOINTS}
         )
 
+    def _answer(self, route: Callable[[], tuple[int, dict[str, str], bytes]]) -> None:
+        """Respond to every request: a :class:`ReproError` is a counted 400,
+        any other exception a counted 500 — never a dropped connection."""
+        try:
+            status, headers, body = route()
+        except ReproError as exc:
+            self.server._bump("errors")
+            status, headers, body = 400, {}, _json_bytes({"error": str(exc)})
+        except Exception as exc:  # a server bug still owes the client an answer
+            self.server._bump("errors")
+            status, headers, body = 500, {}, _json_bytes({"error": _internal_error(exc)})
+        self._respond(status, body, headers)
+
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._answer(self._get)
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._answer(self._post)
+
+    def _get(self) -> tuple[int, dict[str, str], bytes]:
         path = self._route()
         routes = {
             "/v1/health": self.server.api_health,
@@ -126,40 +152,24 @@ class _RequestHandler(BaseHTTPRequestHandler):
         }
         handler = routes.get(path)
         if handler is None:
-            self._not_found(path)
-            return
-        try:
-            self._respond(200, _json_bytes(handler()))
-        except ReproError as exc:
-            self.server._bump("errors")
-            self._respond(400, _json_bytes({"error": str(exc)}))
+            return self._not_found(path)
+        return 200, {}, _json_bytes(handler())
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
+    def _post(self) -> tuple[int, dict[str, str], bytes]:
         path = self._route()
         if path not in ENDPOINTS["POST"]:
-            self._not_found(path)
-            return
+            return self._not_found(path)
         length = int(self.headers.get("Content-Length") or 0)
         raw = self.rfile.read(length) if length > 0 else b""
         try:
             payload = json.loads(raw) if raw else {}
         except json.JSONDecodeError:
-            self.server._bump("errors")
-            self._respond(400, _json_bytes({"error": "request body is not valid JSON"}))
-            return
+            raise ServingError("request body is not valid JSON") from None
         if path == "/v1/search":
-            status, headers, body = self.server.api_search(payload)
-            self._respond(status, body, headers)
-            return
-        routes = {
-            "/v1/refresh": lambda: self.server.api_refresh(),
-            "/v1/ingest": lambda: self.server.api_ingest(payload),
-        }
-        try:
-            self._respond(200, _json_bytes(routes[path]()))
-        except ReproError as exc:
-            self.server._bump("errors")
-            self._respond(400, _json_bytes({"error": str(exc)}))
+            return self.server.api_search(payload)
+        if path == "/v1/refresh":
+            return 200, {}, _json_bytes(self.server.api_refresh())
+        return 200, {}, _json_bytes(self.server.api_ingest(payload))
 
 
 class DiscoveryServer(ThreadingHTTPServer):
@@ -509,6 +519,11 @@ class DiscoveryServer(ThreadingHTTPServer):
             self._bump("errors")
             self.events.append(kind="search", status="error", error=str(exc))
             return 400, {}, _json_bytes({"error": str(exc)})
+        except Exception as exc:  # a server bug still owes the client an answer
+            self._bump("errors")
+            message = _internal_error(exc)
+            self.events.append(kind="search", status="error", error=message)
+            return 500, {}, _json_bytes({"error": message})
         finally:
             with self._state_lock:
                 self._inflight -= 1

@@ -1,4 +1,4 @@
-"""Shared utilities: errors, randomness, timing, validation, text and parallel helpers."""
+"""Shared utilities: errors, randomness, timing, validation and text helpers."""
 
 from repro.utils.errors import (
     ReproError,
@@ -8,14 +8,6 @@ from repro.utils.errors import (
     EmbeddingError,
     DiversificationError,
     TrainingError,
-)
-from repro.utils.parallel import (
-    default_worker_count,
-    forked_map,
-    parallel_map,
-    probe_gate,
-    resolve_parallelism,
-    threaded_map,
 )
 from repro.utils.rng import seeded_rng, derive_seed
 from repro.utils.timing import Timer, timed
@@ -35,12 +27,6 @@ __all__ = [
     "EmbeddingError",
     "DiversificationError",
     "TrainingError",
-    "default_worker_count",
-    "forked_map",
-    "parallel_map",
-    "probe_gate",
-    "resolve_parallelism",
-    "threaded_map",
     "seeded_rng",
     "derive_seed",
     "Timer",

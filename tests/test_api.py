@@ -1,5 +1,6 @@
 """Tests for the unified discovery API: registries, config, facade."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,11 +18,12 @@ from repro.api import (
     available_searchers,
     available_tuple_encoders,
 )
+from repro.api.cli import main as cli_main
 from repro.api.config import SECTION_KEYS
 from repro.api.facade import ResultSet, build_benchmark
 from repro.api.registry import DIVERSIFIERS, SEARCHERS, TUPLE_ENCODERS
 from repro.benchgen import generate_ugen_benchmark
-from repro.core import DustConfig, DustDiversifier
+from repro.core import DustConfig, DustDiversifier, PipelineConfig
 from repro.embeddings import CellLevelColumnEncoder, FastTextLikeModel, GloveLikeModel
 from repro.search import StarmieSearcher, TableUnionSearcher, ValueOverlapSearcher
 from repro.serving import QueryService
@@ -142,12 +144,15 @@ class TestComponentSpec:
 
 #: Fingerprints measured before the config key table replaced the
 #: per-section validators; a moved key, default or value type changes them.
+#: ``exact``, ``balanced``, ``low-latency`` and ``all-sections`` were later
+#: re-derived as the sha256 of the same canonical forms with the seven
+#: removed parallelism keys (:data:`REMOVED_KEYS`) dropped.
 PINNED_FINGERPRINTS = {
     "default": "4fec8b0d7f9d40e59adf82d7c2a9d86a788428d64a1f996c759ab8916546c807",
-    "exact": "771d5346ebe3af7a0ee848dfc110877debf06df78ce90553d3ca7c5211cee4c5",
-    "balanced": "7f453fd8239201c735e9dd136107e527e0a1cbebc7234960c6e488af9e9413d9",
-    "low-latency": "feb965d03630f92333a28b352619465f2d272b1fe7b1ecc00b4353fbcf8f8323",
-    "all-sections": "19c96225f3f2696561aaaa16ca4afd08797650ba171704833d21b4a60ec4c45a",
+    "exact": "0083d59f64065c34594a5859765aaac19f97721dc059c8d378cd0564bf1599c8",
+    "balanced": "08354db32788641c4e6307336808022e3e6cd56fad664296403cf5cf399f2fdf",
+    "low-latency": "9ac6f36530596ab689619ae144b4ddd0b51c3978ffdb5248cb5b24c3f966fd04",
+    "all-sections": "a61ce730a08ee49259ee81ad8a09261f46d59a8584cb57651fb9949d14cbf3a3",
 }
 
 #: ``to_dict()`` of the config with all six operational sections given as
@@ -168,17 +173,10 @@ ALL_SECTIONS_TO_DICT = {
     "serving": {
         "store_dir": None,
         "cache_size": 1024,
-        "max_workers": None,
-        "chunk_size": 8,
-        "parallelism": "auto",
-        "parallel_min_seconds": 1.0,
     },
     "sharding": {
         "num_shards": 1,
         "strategy": "hash",
-        "build_workers": None,
-        "build_parallelism": "auto",
-        "parallel_min_seconds": 0.5,
     },
     "cascade": {
         "mode": "approx",
@@ -225,27 +223,42 @@ BAD_SECTION_VALUES = [
     ("serving", "cache_size", "big"),
     ("cascade", "escalation_margin", None),
     ("ingest", "max_latency_seconds", "0.5"),
-    ("sharding", "build_workers", "4"),
-    ("sharding", "parallel_min_seconds", None),
+    ("store", "pool_size", "4"),
+    ("sharding", "strategy", None),
     ("sharding", "num_shards", True),
     ("cascade", "candidate_budget", True),
     ("server", "port", True),
     ("server", "port", 70000),
-    ("serving", "chunk_size", 2.5),
+    ("cascade", "projection_dim", 2.5),
     ("cascade", "seed", "x"),
     ("serving", "store_dir", 5),
     ("ingest", "max_latency_seconds", float("nan")),
 ]
 
+#: ``pipeline``/``dust`` values that once raised a raw TypeError or were
+#: accepted silently.
+BAD_PIPELINE_DUST_VALUES = [
+    ("pipeline", "k", "x"),
+    ("dust", "prune_limit", "2"),
+    ("pipeline", "k", True),
+    ("pipeline", "k", 3.0),
+    ("dust", "candidate_multiplier", 2.5),
+]
 
-def _section_payloads(section: str):
-    """JSON-like dicts over ``section``'s keys (plus one unknown key)."""
-    specs = SECTION_KEYS[section].values()
-    near_valid = [
-        value
-        for spec in specs
-        for value in (spec.default, spec.ge, spec.gt, spec.le, *(spec.choices or ()))
-    ]
+#: Keys of the serving/sharding sections that no longer exist.
+REMOVED_KEYS = [
+    ("serving", "max_workers"),
+    ("serving", "chunk_size"),
+    ("serving", "parallelism"),
+    ("serving", "parallel_min_seconds"),
+    ("sharding", "build_workers"),
+    ("sharding", "build_parallelism"),
+    ("sharding", "parallel_min_seconds"),
+]
+
+
+def _payloads(keys, near_valid):
+    """JSON-like dicts over ``keys`` (plus one unknown key)."""
     json_like = st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
         lambda inner: st.lists(inner, max_size=3)
@@ -253,10 +266,26 @@ def _section_payloads(section: str):
         max_leaves=4,
     )
     return st.dictionaries(
-        st.sampled_from([*SECTION_KEYS[section], "bogus"]),
+        st.sampled_from([*keys, "bogus"]),
         st.sampled_from(near_valid) | json_like,
         max_size=4,
     )
+
+
+def _section_payloads(section: str):
+    specs = SECTION_KEYS[section].values()
+    near_valid = [
+        value
+        for spec in specs
+        for value in (spec.default, spec.ge, spec.gt, spec.le, *(spec.choices or ()))
+    ]
+    return _payloads(SECTION_KEYS[section], near_valid)
+
+
+def _dataclass_payloads(cls):
+    """Payloads over a config dataclass's scalar fields, near its defaults."""
+    defaults = {f.name: f.default for f in fields(cls) if f.name != "dust"}
+    return _payloads(defaults, [*defaults.values(), 0, 1, None])
 
 
 def _docs_section(text: str, section: str) -> str:
@@ -333,10 +362,6 @@ class TestDiscoveryConfig:
     def test_invalid_serving_values_fail_eagerly(self):
         with pytest.raises(ConfigurationError, match="cache_size"):
             DiscoveryConfig.from_dict({"serving": {"cache_size": -5}})
-        with pytest.raises(ConfigurationError, match="parallelism"):
-            DiscoveryConfig.from_dict({"serving": {"parallelism": "bogus"}})
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            DiscoveryConfig.from_dict({"serving": {"chunk_size": 0}})
 
     def test_serving_section_is_normalised(self):
         config = DiscoveryConfig.from_dict(
@@ -344,7 +369,7 @@ class TestDiscoveryConfig:
         )
         assert config.serving["store_dir"] == "/tmp/store"
         assert config.serving["cache_size"] == 16
-        assert config.serving["parallelism"] == "auto"
+        assert set(config.serving) == {"store_dir", "cache_size"}
         with pytest.raises(ConfigurationError, match="unknown keys"):
             DiscoveryConfig.from_dict({"serving": {"store": "x"}})
 
@@ -378,10 +403,28 @@ class TestDiscoveryConfig:
         with pytest.raises(ConfigurationError, match="unknown config section"):
             config.section("pipeline")
 
+    @pytest.mark.parametrize("section, key, value", BAD_PIPELINE_DUST_VALUES)
+    def test_bad_pipeline_dust_values_raise_configuration_error(self, section, key, value):
+        with pytest.raises(ConfigurationError, match=rf"^{key} must be"):
+            DiscoveryConfig.from_dict({section: {key: value}})
+
+    def test_removed_parallelism_keys_are_unknown(self):
+        for section, key in REMOVED_KEYS:
+            with pytest.raises(ConfigurationError, match="unknown keys in config section"):
+                DiscoveryConfig.from_dict({section: {key: None}})
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["warm", "--workers", "2"])
+        assert exc.value.code == 2
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.fixed_dictionaries(
-            {}, optional={name: _section_payloads(name) for name in SECTION_KEYS}
+            {},
+            optional={
+                "pipeline": _dataclass_payloads(PipelineConfig),
+                "dust": _dataclass_payloads(DustConfig),
+                **{name: _section_payloads(name) for name in SECTION_KEYS},
+            },
         )
     )
     def test_arbitrary_sections_build_or_fail_typed(self, payload):

@@ -11,7 +11,6 @@ import urllib.request
 import pytest
 
 from repro.api.cli import build_parser
-from repro.api.config import DiscoveryConfig
 from repro.api.facade import Discovery
 from repro.api.schema import (
     RESULT_SCHEMA_VERSION,
@@ -489,6 +488,43 @@ class TestServerEndpoints:
         status, metrics, _ = _get(server.url + "/v1/metrics")
         assert metrics["counters"]["errors"] >= 4
 
+    @pytest.mark.parametrize(
+        "query_table",
+        [
+            {"name": "q", "columns": 5, "rows": []},
+            {"name": "q", "columns": ["a"], "rows": 5},
+            {"name": "q", "columns": ["a"], "rows": [5]},
+        ],
+    )
+    def test_malformed_query_table_is_a_counted_400(self, server, query_table):
+        status, body, _ = _post(
+            server.url + "/v1/search", {"query_table": query_table, "k": 3}
+        )
+        assert status == 400
+        assert "must be" in json.loads(body)["error"]
+        _, metrics, _ = _get(server.url + "/v1/metrics")
+        assert metrics["counters"]["errors"] == 1
+        status, _, _ = _post(server.url + "/v1/search", {"query_index": 0, "k": 3})
+        assert status == 200
+
+    def test_unexpected_exceptions_are_counted_500s(self, server, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server.discovery, "run", boom)
+        status, body, _ = _post(server.url + "/v1/search", {"query_index": 0, "k": 3})
+        assert status == 500
+        assert "RuntimeError: boom" in json.loads(body)["error"]
+        monkeypatch.setattr(server, "api_info", boom)
+        status, payload, _ = _get(server.url + "/v1/info")
+        assert status == 500 and "RuntimeError" in payload["error"]
+        _, metrics, _ = _get(server.url + "/v1/metrics")
+        assert metrics["counters"]["errors"] == 2
+        assert [event["status"] for event in server.events.tail()] == ["error"]
+        monkeypatch.undo()
+        status, _, _ = _post(server.url + "/v1/search", {"query_index": 0, "k": 3})
+        assert status == 200
+
     def test_events_are_written_to_jsonl(self, small_benchmark, tmp_path):
         path = tmp_path / "events.jsonl"
         with DiscoveryServer.from_config(
@@ -678,7 +714,7 @@ class TestCliSurface:
             "--cascade-budget",
             "--cascade-margin",
             "--shards",
-            "--workers",
+            "--store-backend",
         }
         flag_sets = {}
         for name in ("search", "warm", "serve"):

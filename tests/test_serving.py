@@ -1,8 +1,7 @@
 """Tests for repro.serving: content fingerprints, the persistent index store,
-the parallel query service, and their wiring into the DUST pipeline."""
+the query service, and their wiring into the DUST pipeline."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -300,32 +299,32 @@ class _CountingSearcher(ValueOverlapSearcher):
 
 
 class TestQueryService:
-    @pytest.mark.parametrize("parallelism", ["process", "thread", "serial"])
-    def test_parallel_results_match_serial_bit_identically(
-        self, small_benchmark, parallelism
-    ):
-        if parallelism == "process" and not hasattr(os, "fork"):
-            pytest.skip("no fork on this platform")
+    def test_search_many_matches_search_bit_identically(self, small_benchmark):
         lake = small_benchmark.lake
-        queries = small_benchmark.query_tables * 3  # repeat to exercise chunks
+        queries = small_benchmark.query_tables * 3
         direct = ValueOverlapSearcher().index(lake)
-        # parallel_min_seconds=0 forces the fan-out even for this tiny lake.
-        service = QueryService(
-            ValueOverlapSearcher(),
-            max_workers=4,
-            chunk_size=2,
-            cache_size=0,
-            parallelism=parallelism,
-            parallel_min_seconds=0.0,
-        ).warm(lake)
+        service = QueryService(ValueOverlapSearcher(), cache_size=0).warm(lake)
         batched = service.search_many(queries, 6)
         assert len(batched) == len(queries)
         for query, results in zip(queries, batched):
             assert results == direct.search(query, 6)
 
+    def test_search_many_counts_repeats_within_a_batch_as_hits(self, small_benchmark):
+        searcher = _CountingSearcher()
+        service = QueryService(searcher).warm(small_benchmark.lake)
+        distinct = small_benchmark.query_tables
+        assert service.search_many([], 5) == []
+        service.search_many(distinct * 2, 5)
+        assert searcher.search_calls == len(distinct)
+        assert service.cache_stats == {
+            "hits": len(distinct),
+            "misses": len(distinct),
+            "size": len(distinct),
+        }
+
     def test_cache_serves_repeats_without_recomputing(self, small_benchmark):
         searcher = _CountingSearcher()
-        service = QueryService(searcher, max_workers=1).warm(small_benchmark.lake)
+        service = QueryService(searcher).warm(small_benchmark.lake)
         query = small_benchmark.query_tables[0]
         first = service.search(query, 5)
         second = service.search(query, 5)
@@ -338,9 +337,7 @@ class TestQueryService:
 
     def test_cache_is_bounded_lru(self, small_benchmark):
         searcher = _CountingSearcher()
-        service = QueryService(searcher, max_workers=1, cache_size=1).warm(
-            small_benchmark.lake
-        )
+        service = QueryService(searcher, cache_size=1).warm(small_benchmark.lake)
         first, second = small_benchmark.query_tables[:2]
         service.search(first, 5)
         service.search(second, 5)  # evicts the entry for `first`
@@ -355,7 +352,7 @@ class TestQueryService:
         searcher = CascadeSearcher(
             ValueOverlapSearcher(), mode="approx", candidate_budget=4
         )
-        service = QueryService(searcher, max_workers=1).warm(small_benchmark.lake)
+        service = QueryService(searcher).warm(small_benchmark.lake)
         query = small_benchmark.query_tables[0]
 
         approx_key = service._key(query, 5)
@@ -397,15 +394,7 @@ class TestQueryService:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ServingError):
-            QueryService(ValueOverlapSearcher(), max_workers=0)
-        with pytest.raises(ServingError):
-            QueryService(ValueOverlapSearcher(), chunk_size=0)
-        with pytest.raises(ServingError):
             QueryService(ValueOverlapSearcher(), cache_size=-1)
-        with pytest.raises(ServingError):
-            QueryService(ValueOverlapSearcher(), parallelism="fibers")
-        with pytest.raises(ServingError):
-            QueryService(ValueOverlapSearcher(), parallel_min_seconds=-1.0)
 
 
 def _pipeline(searcher):
@@ -424,9 +413,7 @@ class TestPipelineServing:
         direct = _pipeline(ValueOverlapSearcher()).index(lake)
         direct_results = direct.run_many(queries, k=5)
 
-        service = QueryService(
-            ValueOverlapSearcher(), max_workers=4, chunk_size=1
-        ).warm(lake)
+        service = QueryService(ValueOverlapSearcher()).warm(lake)
         served = _pipeline(ValueOverlapSearcher())  # un-indexed: adopted from service
         served_results = served.run_many(queries, k=5, service=service)
 
@@ -445,9 +432,7 @@ class TestPipelineServing:
 class TestEvaluationServing:
     def test_prepare_query_workload_accepts_search_service(self, small_benchmark):
         model = FastTextLikeModel(dimension=64)
-        service = QueryService(ValueOverlapSearcher(), max_workers=2).warm(
-            small_benchmark.lake
-        )
+        service = QueryService(ValueOverlapSearcher()).warm(small_benchmark.lake)
         query = small_benchmark.query_tables[0]
         served = prepare_query_workload(
             small_benchmark,
@@ -465,11 +450,7 @@ class TestEvaluationServing:
     def test_prepare_query_workloads_batches_through_cache(self, small_benchmark):
         model = FastTextLikeModel(dimension=64)
         searcher = _CountingSearcher()
-        # Threaded mode keeps the invocation counter in-process (forked
-        # workers would increment a copy).
-        service = QueryService(searcher, max_workers=2, parallelism="thread").warm(
-            small_benchmark.lake
-        )
+        service = QueryService(searcher).warm(small_benchmark.lake)
         workloads = prepare_query_workloads(
             small_benchmark,
             small_benchmark.query_tables,

@@ -4,10 +4,9 @@ Covers the :class:`LakePartitioner`/:class:`LakeShard` views, the seed-table
 journaling fix, the ``build_partial``/``merge_partials`` protocol (property-
 style parity against monolithic ``index()`` over random lakes and partitions,
 including shard-then-delta sequences), the :class:`ShardedSearcher` composite
-(fan-out/merge parity, shard-local refresh, per-shard store persistence), the
-shared :mod:`repro.utils.parallel` machinery and the API surface
-(``DiscoveryConfig`` sharding section, transparent facade sharding, the warm
-CLI's ``--shards``).
+(fan-out/merge parity, shard-local refresh, per-shard store persistence) and
+the API surface (``DiscoveryConfig`` sharding section, transparent facade
+sharding, the warm CLI's ``--shards``).
 """
 
 import pytest
@@ -37,13 +36,6 @@ from repro.utils.errors import (
     ConfigurationError,
     DataLakeError,
     SearchError,
-)
-from repro.utils.parallel import (
-    default_worker_count,
-    forked_map,
-    parallel_map,
-    probe_gate,
-    resolve_parallelism,
 )
 from repro.utils.rng import seeded_rng
 
@@ -254,18 +246,13 @@ class TestPartialMergeParity:
         searcher.merge_partials(lake, [partial])  # IndexMergeUnsupported -> build
         assert searcher.builds == 1 and searcher.is_indexed
 
-    def test_forked_build_sharded_matches_serial(self, tus_bench):
+    @pytest.mark.parametrize("backend", sorted(BACKEND_FACTORIES))
+    def test_build_sharded_matches_monolithic(self, tus_bench, backend):
         lake = fresh_lake(tus_bench)
-        monolithic = ValueOverlapSearcher().index(lake)
-        forked = build_sharded(
-            ValueOverlapSearcher(),
-            lake,
-            num_shards=4,
-            workers=2,
-            parallelism="process",
-            parallel_min_seconds=0.0,
-        )
-        assert rankings(forked, tus_bench.query_tables) == rankings(
+        factory = BACKEND_FACTORIES[backend]
+        monolithic = factory(tus_bench).index(lake)
+        merged = build_sharded(factory(tus_bench), lake, num_shards=4)
+        assert rankings(merged, tus_bench.query_tables) == rankings(
             monolithic, tus_bench.query_tables
         )
 
@@ -307,9 +294,7 @@ class TestShardedSearcher:
         lake = fresh_lake(tus_bench)
         factory = BACKEND_FACTORIES[backend]
         monolithic = factory(tus_bench).index(lake)
-        sharded = ShardedSearcher(
-            lambda: factory(tus_bench), num_shards=4, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(lambda: factory(tus_bench), num_shards=4).index(lake)
         assert rankings(sharded, tus_bench.query_tables) == rankings(
             monolithic, tus_bench.query_tables
         )
@@ -322,9 +307,7 @@ class TestShardedSearcher:
             Table(name="huge", columns=["words"], rows=[(f"token{i}",) for i in range(700)])
         )
         monolithic = StarmieSearcher().index(lake)
-        sharded = ShardedSearcher(
-            StarmieSearcher, num_shards=4, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(StarmieSearcher, num_shards=4).index(lake)
         assert rankings(sharded, tus_bench.query_tables) == rankings(
             monolithic, tus_bench.query_tables
         )
@@ -336,9 +319,7 @@ class TestShardedSearcher:
         lake.add_table(
             Table(name="huge", columns=["words"], rows=[(f"token{i}",) for i in range(700)])
         )
-        sharded = ShardedSearcher(
-            StarmieSearcher, num_shards=4, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(StarmieSearcher, num_shards=4).index(lake)
         lake.add_table(make_table("zz_corpus_shift"))
         sharded.refresh()
         rebuilt = StarmieSearcher().index(lake)
@@ -348,9 +329,7 @@ class TestShardedSearcher:
 
     def test_refresh_touches_only_changed_shards(self, tus_bench):
         lake = fresh_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=4, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=4).index(lake)
         before = list(sharded.shard_searchers)
         mutated = lake.table_names()[0]
         shard_id = sharded.partitioner.shard_id_of(mutated)
@@ -372,7 +351,7 @@ class TestShardedSearcher:
         for backend, factory in BACKEND_FACTORIES.items():
             lake = fresh_lake(tus_bench)
             sharded = ShardedSearcher(
-                lambda: factory(tus_bench), num_shards=3, parallelism="serial"
+                lambda: factory(tus_bench), num_shards=3
             ).index(lake)
             lake.add_table(make_table("zz_refresh"))
             sharded.refresh()
@@ -384,9 +363,7 @@ class TestShardedSearcher:
     def test_oracle_sharded_revalidates_on_refresh(self, tus_bench):
         lake = fresh_lake(tus_bench)
         sharded = ShardedSearcher(
-            lambda: OracleSearcher(tus_bench.ground_truth),
-            num_shards=3,
-            parallelism="serial",
+            lambda: OracleSearcher(tus_bench.ground_truth), num_shards=3
         ).index(lake)
         labelled = next(iter(tus_bench.ground_truth.values()))[0]
         lake.remove_table(labelled)
@@ -397,9 +374,7 @@ class TestShardedSearcher:
         with pytest.raises(SearchError):
             ShardedSearcher(lambda: object(), num_shards=2)  # not a searcher
         lake = fresh_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=2, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=2).index(lake)
         with pytest.raises(SearchError):
             sharded.search(tus_bench.query_tables[0], 0)
 
@@ -412,9 +387,7 @@ class TestShardedSearcher:
 
     def test_score_table_delegates_to_owning_shard(self, tus_bench):
         lake = fresh_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=3).index(lake)
         flat = ValueOverlapSearcher().index(lake)
         query = tus_bench.query_tables[0]
         member = lake.tables()[0]
@@ -425,9 +398,7 @@ class TestShardedSearcher:
 
     def test_more_shards_than_tables(self, tus_bench):
         lake = DataLake([make_table("a"), make_table("b", seed="y")])
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=8, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=8).index(lake)
         hits = sharded.search(make_table("q", seed="y"), 5)
         assert [hit.table_name for hit in hits] == [
             hit.table_name for hit in ValueOverlapSearcher().index(lake).search(make_table("q", seed="y"), 5)
@@ -440,7 +411,7 @@ class TestShardStorePersistence:
         store = IndexStore(tmp_path, max_entries_per_backend=None)
         lake = fresh_lake(tus_bench)
         first = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial", store=store
+            ValueOverlapSearcher, num_shards=3, store=store
         ).index(lake)
         occupied = sum(1 for s in first.shard_searchers if s is not None)
         entries = list(store.backend_dir(ValueOverlapSearcher()).glob("*/manifest.json"))
@@ -457,7 +428,7 @@ class TestShardStorePersistence:
         ValueOverlapSearcher._build_index = counting_build
         try:
             second = ShardedSearcher(
-                ValueOverlapSearcher, num_shards=3, parallelism="serial", store=store
+                ValueOverlapSearcher, num_shards=3, store=store
             ).index(lake)
         finally:
             ValueOverlapSearcher._build_index = original
@@ -470,7 +441,7 @@ class TestShardStorePersistence:
         store = IndexStore(tmp_path, max_entries_per_backend=None)
         lake = fresh_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial", store=store
+            ValueOverlapSearcher, num_shards=3, store=store
         ).index(lake)
         backend_dir = store.backend_dir(ValueOverlapSearcher())
         before = {p.parent.name for p in backend_dir.glob("*/manifest.json")}
@@ -490,7 +461,7 @@ class TestShardStorePersistence:
         store = IndexStore(tmp_path)
         lake = fresh_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=12, parallelism="serial", store=store
+            ValueOverlapSearcher, num_shards=12, store=store
         ).index(lake)
         occupied = sum(1 for s in sharded.shard_searchers if s is not None)
         assert occupied > 8
@@ -500,9 +471,7 @@ class TestShardStorePersistence:
     def test_build_sharded_second_warm_is_a_pure_load(self, tus_bench, tmp_path):
         store = IndexStore(tmp_path)
         lake = fresh_lake(tus_bench)
-        first = build_sharded(
-            ValueOverlapSearcher(), lake, num_shards=4, parallelism="serial", store=store
-        )
+        first = build_sharded(ValueOverlapSearcher(), lake, num_shards=4, store=store)
         searcher = ValueOverlapSearcher()
 
         def forbid(*_args, **_kwargs):
@@ -510,7 +479,7 @@ class TestShardStorePersistence:
 
         searcher.merge_partials = forbid
         searcher._build_index = forbid
-        build_sharded(searcher, lake, num_shards=4, parallelism="serial", store=store)
+        build_sharded(searcher, lake, num_shards=4, store=store)
         assert searcher.is_indexed
         assert rankings(searcher, tus_bench.query_tables) == rankings(
             first, tus_bench.query_tables
@@ -519,15 +488,13 @@ class TestShardStorePersistence:
     def test_sharded_service_skips_monolithic_store_entry(self, tus_bench, tmp_path):
         store = IndexStore(tmp_path, max_entries_per_backend=None)
         lake = fresh_lake(tus_bench)
-        searcher = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial", store=store
-        )
-        service = QueryService(searcher, store=store, parallelism="serial").warm(lake)
+        searcher = ShardedSearcher(ValueOverlapSearcher, num_shards=3, store=store)
+        service = QueryService(searcher, store=store).warm(lake)
         assert searcher.manages_own_persistence
         assert not list(tmp_path.glob("ShardedSearcher-*"))  # no composite entry
         lake.add_table(make_table("zz_served"))
         service.refresh()
-        fresh = QueryService(ValueOverlapSearcher(), parallelism="serial").warm(lake)
+        fresh = QueryService(ValueOverlapSearcher()).warm(lake)
         query = tus_bench.query_tables[0]
         assert service.search(query, 8) == fresh.search(query, 8)
 
@@ -551,9 +518,7 @@ def skewed_lake(bench) -> DataLake:
 class TestRebalance:
     def test_flat_partition_is_a_noop(self, tus_bench):
         lake = fresh_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=3).index(lake)
         report = sharded.rebalance(skew_threshold=1e9)
         assert report == {
             "rebalanced": False,
@@ -566,9 +531,7 @@ class TestRebalance:
 
     def test_rebalance_reduces_skew_and_preserves_rankings(self, tus_bench):
         lake = skewed_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=3).index(lake)
         before = rankings(sharded, tus_bench.query_tables)
         report = sharded.rebalance(skew_threshold=1.1)
         assert report["rebalanced"]
@@ -584,9 +547,7 @@ class TestRebalance:
 
     def test_pinned_assignment_survives_refresh(self, tus_bench):
         lake = skewed_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=3).index(lake)
         report = sharded.rebalance(skew_threshold=1.1)
         assert report["rebalanced"]
         pinned = {
@@ -608,9 +569,7 @@ class TestRebalance:
 
     def test_split_and_merge_change_shard_count(self, tus_bench):
         lake = skewed_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=2, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=2).index(lake)
         expected = rankings(sharded, tus_bench.query_tables)
         split = sharded.rebalance(skew_threshold=1.5, num_shards=5)
         assert split["rebalanced"] and split["num_shards"] == 5
@@ -625,7 +584,7 @@ class TestRebalance:
         store = IndexStore(tmp_path, max_entries_per_backend=None)
         lake = skewed_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial", store=store
+            ValueOverlapSearcher, num_shards=3, store=store
         ).index(lake)
         backend_dir = store.backend_dir(ValueOverlapSearcher())
         before = {p.parent.name for p in backend_dir.glob("*/manifest.json")}
@@ -639,9 +598,7 @@ class TestRebalance:
 
     def test_validation(self, tus_bench):
         lake = fresh_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=2, parallelism="serial"
-        ).index(lake)
+        sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=2).index(lake)
         with pytest.raises(SearchError):
             sharded.rebalance(skew_threshold=0.5)
         with pytest.raises(SearchError):
@@ -665,80 +622,14 @@ class TestRebalance:
         assert set(assignment) == set(sizes)
 
 
-# ------------------------------------------------------------- utils.parallel
-class TestParallelUtils:
-    def test_resolve_modes(self):
-        assert resolve_parallelism("serial") == "serial"
-        assert resolve_parallelism("auto") in ("process", "thread")
-        assert resolve_parallelism("auto", threads_fallback=False) in (
-            "process",
-            "serial",
-        )
-        with pytest.raises(ConfigurationError):
-            resolve_parallelism("fibers")
-
-    def test_default_worker_count(self):
-        assert default_worker_count(100, max_workers=3) == 3
-        assert 1 <= default_worker_count(100) <= 8
-        assert default_worker_count(1) == 1
-        with pytest.raises(ConfigurationError):
-            default_worker_count(4, max_workers=0)
-
-    def test_probe_gate_skips_fan_out_below_threshold(self):
-        served = []
-        remaining, fan_out = probe_gate(
-            [1, 2, 3], served.append, min_seconds=10_000.0
-        )
-        assert not fan_out
-        assert served == [1]  # one cheap probe settles it; the 2nd never runs
-        assert remaining == [2, 3]
-
-    def test_probe_gate_zero_threshold_always_fans_out(self):
-        served = []
-        remaining, fan_out = probe_gate([1, 2, 3, 4], served.append, min_seconds=0.0)
-        assert fan_out and served == [1, 2] and remaining == [3, 4]
-
-    def test_probe_gate_exhausts_small_workloads(self):
-        served = []
-        remaining, fan_out = probe_gate([1], served.append, min_seconds=10.0)
-        assert served == [1] and remaining == [] and not fan_out
-
-    def test_parallel_map_serial_and_thread(self):
-        items = list(range(7))
-        assert parallel_map(lambda x: x * x, items, mode="serial", workers=2) == [
-            x * x for x in items
-        ]
-        assert parallel_map(lambda x: x + 1, items, mode="thread", workers=3) == [
-            x + 1 for x in items
-        ]
-        with pytest.raises(ConfigurationError):
-            parallel_map(lambda x: x, items, mode="fibers", workers=1)
-
-    def test_forked_map_inherits_closures(self):
-        import os
-
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("platform has no fork")
-        payload = {"base": 10}  # captured, unpicklable-by-reference state
-        parent = os.getpid()
-        results = forked_map(
-            lambda x: (payload["base"] + x, os.getpid()), [1, 2, 3], workers=2
-        )
-        assert [value for value, _ in results] == [11, 12, 13]
-        assert all(pid != parent for _, pid in results)  # really ran in workers
-
-    def test_forked_map_empty_items(self):
-        assert forked_map(lambda x: x, [], workers=4) == []
-
-
 # ---------------------------------------------------------------- API surface
 class TestShardingConfig:
     def test_sharding_section_round_trips(self):
         config = DiscoveryConfig.from_dict(
-            {"searcher": "overlap", "sharding": {"num_shards": 4, "build_workers": 2}}
+            {"searcher": "overlap", "sharding": {"num_shards": 4, "strategy": "size"}}
         )
         assert config.sharding["num_shards"] == 4
-        assert config.sharding["strategy"] == "hash"
+        assert config.sharding["strategy"] == "size"
         rebuilt = DiscoveryConfig.from_dict(config.to_dict())
         assert rebuilt.fingerprint() == config.fingerprint()
 
@@ -749,15 +640,13 @@ class TestShardingConfig:
             DiscoveryConfig.from_dict({"sharding": {"strategy": "roundrobin"}})
         with pytest.raises(ConfigurationError):
             DiscoveryConfig.from_dict({"sharding": {"shards": 4}})  # unknown key
-        with pytest.raises(ConfigurationError):
-            DiscoveryConfig.from_dict({"sharding": {"build_parallelism": "thread"}})
 
     def test_facade_transparent_sharding_parity(self, tus_bench):
         lake = fresh_lake(tus_bench)
         sharded = Discovery.from_config(
             {
                 "searcher": {"name": "overlap"},
-                "sharding": {"num_shards": 3, "build_parallelism": "serial"},
+                "sharding": {"num_shards": 3},
             }
         ).attach(lake)
         flat = Discovery.from_config({"searcher": {"name": "overlap"}}).attach(lake)
@@ -771,8 +660,8 @@ class TestShardingConfig:
         discovery = Discovery.from_config(
             {
                 "searcher": {"name": "overlap"},
-                "serving": {"store_dir": str(tmp_path), "parallelism": "serial"},
-                "sharding": {"num_shards": 3, "build_parallelism": "serial"},
+                "serving": {"store_dir": str(tmp_path)},
+                "sharding": {"num_shards": 3},
             }
         ).attach(lake)
         query = tus_bench.query_tables[0]
